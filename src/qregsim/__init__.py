@@ -1,9 +1,9 @@
 """qregsim: a quantum-register state-vector simulator and algorithm library.
 
 Registers are normalized complex amplitude vectors over 2**n basis states
-(qubit 0 is the least-significant bit of the basis index).  Gates act via
-strided block updates, measurement follows the Born rule with seeded
-reproducible sampling, and the algorithms package layers search, Fourier,
+(qubit 0 is the least-significant bit of the basis index).  Gates act on
+slices of the ``[2]*n`` tensor view, measurement follows the Born rule with
+seeded reproducible sampling, and the algorithms package layers search, Fourier,
 period-finding, walk, and associative-memory routines on top.
 """
 

@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .. import gates
 from ..measurement import RandomSource, measure_all
-from ..state import QuantumState, basis_state
+from ..state import QuantumState, basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,9 @@ def _uniform_superposition_cached(num_qubits: int) -> QuantumState:
 
 
 def _build_uniform_superposition(num_qubits: int) -> QuantumState:
-    state = basis_state(num_qubits, 0)
-    for q in range(num_qubits):
-        state = gates.apply(state, gates.GateApplication(gates.HADAMARD, (q,)))
-    return state
+    dim = 1 << num_qubits
+    amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    return QuantumState(num_qubits, amps, copy=False)
 
 
 def amplified_state(oracle: Oracle, marked_count: int) -> tuple[QuantumState, int, float]:

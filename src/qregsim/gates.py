@@ -1,20 +1,20 @@
-"""Gate definitions and the strided amplitude-update kernel.
+"""Gate definitions and the tensor-view amplitude-update kernel.
 
 Every gate is a small unitary matrix over its bound qubits.  The matrix
 basis follows the register convention: the first bound qubit is the most
 significant bit of the matrix row/column index, so CNOT with targets
 ``[control, target]`` is the familiar ``[[1,0,0,0],[0,1,0,0],[0,0,0,1],
 [0,0,1,0]]``.  Applying a gate never materializes the full 2**n x 2**n
-operator; amplitudes are updated in 2**k-element blocks addressed by bit
-masks.
+operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
+output slice of the target axes sums input slices weighted by a matrix row.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Sequence
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class Gate:
     phase_shift(), controlled_phase() and custom_gate().
     """
 
-    __slots__ = ("name", "arity", "matrix", "phi")
+    __slots__ = ("name", "arity", "matrix", "phi", "_rows")
 
     def __init__(self, name: str, arity: int, matrix: np.ndarray, phi: float | None = None):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -51,6 +51,24 @@ class Gate:
 
     def __setattr__(self, key, value):
         raise AttributeError("Gate instances are immutable")
+
+    def _terms(self):
+        """Nonzero (column, entry) terms per matrix row; None for the identity.
+
+        Indices are bit tuples with a trailing Ellipsis, so they index views
+        even when the gate spans every axis; an all-zero row keeps one zero
+        term.  Built on first apply, so gates never applied (inverse_qft's
+        forward ladder) cost nothing here.
+        """
+        if not hasattr(self, "_rows"):
+            bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
+            rows = [
+                (index, [(bits[c], u) for c, u in enumerate(row) if u] or [(index, 0)])
+                for index, row in zip(bits, self.matrix.tolist())
+            ]
+            identity = all(terms == [(index, 1)] for index, terms in rows)
+            object.__setattr__(self, "_rows", None if identity else rows)
+        return self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -160,48 +178,13 @@ class GateApplication:
         return f"GateApplication({self.gate!r}, targets={self.targets})"
 
 
-def _block_indices(num_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Flat amplitude indices grouped by target-bit pattern.
-
-    Row r of the result lists every basis index whose target bits spell r
-    (targets[0] as the most significant bit of r); each basis index appears
-    exactly once.  Shape (2**k, 2**(n-k)).
-    """
-    # Index tables for small registers are cached; wide registers rebuild
-    # them per call to keep the cache bounded (<= 0.5 MiB per entry).
-    if num_qubits <= 16:
-        return _block_indices_cached(num_qubits, targets)
-    return _build_block_indices(num_qubits, targets)
-
-
-@lru_cache(maxsize=512)
-def _block_indices_cached(num_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    return _build_block_indices(num_qubits, targets)
-
-
-def _build_block_indices(num_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    k = len(targets)
-    rest = [q for q in range(num_qubits) if q not in targets]
-    base = np.arange(1 << (num_qubits - k), dtype=np.intp)
-    stride = np.zeros_like(base)
-    for j, q in enumerate(rest):
-        stride |= ((base >> j) & 1) << q
-    offsets = np.zeros(1 << k, dtype=np.intp)
-    for r in range(1 << k):
-        for j, q in enumerate(targets):
-            if (r >> (k - 1 - j)) & 1:
-                offsets[r] |= 1 << q
-    idx = offsets[:, None] + stride[None, :]
-    idx.flags.writeable = False
-    return idx
-
-
 def apply(state: QuantumState, application: GateApplication) -> QuantumState:
-    """Apply a gate to the given qubits of a register, returning a new state.
+    """Apply a gate to the given qubits of a register.
 
     Equivalent to multiplying by the gate embedded on its targets with
-    identity elsewhere, computed in O(2**n * 4**k) via strided block
-    updates on a private copy.
+    identity elsewhere, at 2**(n-k) work per nonzero matrix entry: unit
+    entries are slice copies, so permutation and diagonal gates only move or
+    scale slices.  Returns a new state, or the input itself for the identity.
     """
     n = state.num_qubits
     targets = application.targets
@@ -209,7 +192,21 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
         raise ValueError(
             f"target qubit {max(targets)} out of range for {n}-qubit state"
         )
-    idx = _block_indices(n, targets)
+    rows = application.gate._terms()
+    if rows is None:
+        return state
+    axes = [n - 1 - q for q in targets]
+    order = axes + [a for a in range(n) if a not in axes]  # targets first
+    source = state.amplitudes.reshape((2,) * n).transpose(order)
     out = np.empty(state.dim, dtype=np.complex128)
-    out[idx.reshape(-1)] = (application.gate.matrix @ state.amplitudes[idx]).reshape(-1)
+    view = out.reshape((2,) * n).transpose(order)
+    for r, terms in rows:
+        dst = view[r]
+        for j, (c, u) in enumerate(terms):
+            if j:
+                dst += source[c] if u == 1 else u * source[c]
+            elif u == 1:
+                dst[...] = source[c]
+            else:
+                np.multiply(source[c], u, out=dst)
     return QuantumState(n, out, copy=False)

@@ -3,7 +3,9 @@
 Measurement is simulated classically: a seeded deterministic RandomSource
 replaces physical randomness so every run is reproducible.  Collapse
 projects the state onto the observed bits (inconsistent amplitudes become
-exactly zero) and renormalizes.
+exactly zero) and renormalizes.  Like the gate kernel, every function here
+works on the ``[2]*n`` view of the register, with qubit ``q`` on axis
+``n-1-q``: marginals are sums over axes, collapse keeps one slice.
 """
 
 from __future__ import annotations
@@ -89,17 +91,11 @@ def marginal(state: QuantumState, bits: Mapping[int, int]) -> float:
     qubits = _check_qubits(state, bits.keys())
     if not qubits:
         return 1.0
-    mask = 0
-    want = 0
     for q in qubits:
-        bit = bits[q]
-        if bit not in (0, 1):
-            raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bit!r}")
-        mask |= 1 << q
-        want |= bit << q
-    indices = np.arange(state.dim)
-    consistent = (indices & mask) == want
-    return float(state.probabilities()[consistent].sum())
+        if bits[q] not in (0, 1):
+            raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bits[q]!r}")
+    assignment = sum(bits[q] << j for j, q in enumerate(qubits))
+    return float(marginal_distribution(state, qubits)[assignment])
 
 
 def marginal_distribution(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:
@@ -109,11 +105,15 @@ def marginal_distribution(state: QuantumState, qubits: Sequence[int]) -> np.ndar
     of ``a``, for all ``j`` simultaneously.
     """
     qubits = _check_qubits(state, qubits)
-    indices = np.arange(state.dim)
-    keys = np.zeros(state.dim, dtype=np.intp)
-    for j, q in enumerate(qubits):
-        keys |= ((indices >> q) & 1) << j
-    return np.bincount(keys, weights=state.probabilities(), minlength=1 << len(qubits))
+    n = state.num_qubits
+    probs = state.probabilities()
+    if qubits == list(range(n)):
+        return probs
+    kept = sorted(qubits, reverse=True)  # axis order of the kept qubits
+    summed = probs.reshape((2,) * n).sum(
+        axis=tuple(n - 1 - q for q in range(n) if q not in qubits)
+    )
+    return summed.transpose([kept.index(q) for q in reversed(qubits)]).reshape(-1)
 
 
 def _draw_index(distribution: np.ndarray, u: float) -> int:
@@ -125,19 +125,18 @@ def _draw_index(distribution: np.ndarray, u: float) -> int:
 
 def _project(state: QuantumState, bits: Mapping[int, int]) -> QuantumState:
     """Zero every amplitude inconsistent with ``bits`` and renormalize."""
-    mask = 0
-    want = 0
+    n = state.num_qubits
+    index = [slice(None)] * n
     for q, bit in bits.items():
-        mask |= 1 << q
-        want |= bit << q
-    indices = np.arange(state.dim)
-    amps = state.amplitudes.copy()
-    amps[(indices & mask) != want] = 0.0
-    norm = np.linalg.norm(amps)
+        index[n - 1 - q] = bit
+    index = (*index, ...)  # a view even when every qubit is fixed
+    kept = state.amplitudes.reshape((2,) * n)[index]
+    norm = np.linalg.norm(kept)
     if norm == 0.0:
         raise ValueError(f"projection onto {dict(bits)} has zero probability")
-    amps /= norm
-    return QuantumState(state.num_qubits, amps, copy=False)
+    amps = np.zeros(state.dim, dtype=np.complex128)
+    np.divide(kept, norm, out=amps.reshape((2,) * n)[index])
+    return QuantumState(n, amps, copy=False)
 
 
 def measure_all(
@@ -202,14 +201,7 @@ def is_product(state: QuantumState, left_qubits: Iterable[int]) -> bool:
     if not left or len(left) == n:
         raise ValueError("left_qubits must be a nonempty proper subset")
     right = [q for q in range(n) if q not in left]
-    indices = np.arange(state.dim)
-    rows = np.zeros(state.dim, dtype=np.intp)
-    cols = np.zeros(state.dim, dtype=np.intp)
-    for j, q in enumerate(left):
-        rows |= ((indices >> q) & 1) << j
-    for j, q in enumerate(right):
-        cols |= ((indices >> q) & 1) << j
-    matrix = np.zeros((1 << len(left), 1 << len(right)), dtype=np.complex128)
-    matrix[rows, cols] = state.amplitudes
+    axes = [n - 1 - q for q in left + right]
+    matrix = state.amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << len(left), -1)
     singular = np.linalg.svd(matrix, compute_uv=False)
     return bool(singular[1] < PRODUCT_TOLERANCE)

@@ -8,6 +8,7 @@ every operation returns a new state and never mutates its inputs.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -61,9 +62,11 @@ class QuantumState:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
-            raise ValueError("amplitudes contain a non-finite entry")
+        # A finite squared norm implies finite entries, so the entry scan
+        # runs only to tell a non-finite entry from an overflowing norm.
         norm_sq = float(np.vdot(amps, amps).real)
+        if not math.isfinite(norm_sq) and not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes contain a non-finite entry")
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise ValueError(
                 f"amplitudes are not normalized: squared norm is {norm_sq!r}"
@@ -134,9 +137,9 @@ def from_amplitudes(
             f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
             f"got {amps.size}"
         )
-    if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
-        raise ValueError("amplitudes contain a non-finite entry")
     if normalize:
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes contain a non-finite entry")
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValueError("cannot normalize an all-zero amplitude vector")

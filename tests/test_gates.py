@@ -1,14 +1,15 @@
-"""Tests for gate matrices, validation, and the block-update kernel."""
+"""Tests for gate matrices, validation, and the tensor-view kernel."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import kron_embed, random_state_vector
 
-import qregsim
 from qregsim import (
     CNOT,
     EXCHANGE,
@@ -17,6 +18,7 @@ from qregsim import (
     IDENTITY,
     NOT,
     TOFFOLI,
+    Gate,
     GateApplication,
     QuantumState,
     apply,
@@ -36,6 +38,12 @@ def all_gate_kinds(phi=math.pi / 7):
         IDENTITY, NOT, HADAMARD, phase_shift(phi),
         CNOT, controlled_phase(phi), EXCHANGE, TOFFOLI, FREDKIN,
     ]
+
+
+def _random_unitary(arity, rng):
+    dim = 1 << arity
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return unitary
 
 
 class TestMatrices:
@@ -147,6 +155,45 @@ class TestKernelAgainstEmbedding:
                 got = apply(state, GateApplication(gate, targets)).amplitudes
                 np.testing.assert_allclose(got, expected, atol=1e-12)
 
+    def test_every_kind_and_ordered_targets_on_four_qubits(self):
+        """Every gate kind, custom ones up to the full register width, on
+        every ordered target tuple of a 4-qubit register."""
+        rng = np.random.default_rng(44)
+        amps = random_state_vector(4, rng)
+        state = from_amplitudes(4, amps)
+        kinds = all_gate_kinds() + [custom_gate(k, _random_unitary(k, rng)) for k in (1, 2, 3, 4)]
+        for gate in kinds:
+            for targets in itertools.permutations(range(4), gate.arity):
+                expected = kron_embed(matrix_of(gate), targets, 4) @ amps
+                got = apply(state, GateApplication(gate, targets)).amplitudes
+                np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_sequences_match_dense_product(self, data):
+        n = data.draw(st.integers(1, 6), label="num_qubits")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        kinds = [g for g in all_gate_kinds(phi=rng.uniform(-math.pi, math.pi)) if g.arity <= n]
+        kinds.append(custom_gate(min(n, 2), _random_unitary(min(n, 2), rng)))
+        amps = random_state_vector(n, rng)
+        state = from_amplitudes(n, amps)
+        for _ in range(data.draw(st.integers(1, 12), label="length")):
+            gate = kinds[data.draw(st.integers(0, len(kinds) - 1))]
+            targets = tuple(data.draw(st.permutations(range(n)))[: gate.arity])
+            amps = kron_embed(matrix_of(gate), targets, n) @ amps
+            state = apply(state, GateApplication(gate, targets))
+        np.testing.assert_allclose(state.amplitudes, amps, atol=1e-12)
+
+    def test_zero_matrix_row_clears_its_slice(self):
+        """A non-unitary Gate with an all-zero row (a projector) zeroes that slice."""
+        projector = Gate("p0", 1, np.diag([1.0, 0.0]))
+        amps = np.zeros(8)
+        amps[[0b000, 0b100]] = 1 / math.sqrt(2)
+        for targets in [(0,), (1,)]:
+            got = apply(from_amplitudes(3, amps), GateApplication(projector, targets))
+            np.testing.assert_array_equal(got.amplitudes, kron_embed(projector.matrix, targets, 3) @ amps)
+
     def test_custom_two_qubit_random_unitary(self):
         rng = np.random.default_rng(42)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -169,6 +216,11 @@ class TestKernelAgainstEmbedding:
 
 
 class TestGateProperties:
+    def test_identity_returns_its_input(self):
+        state = from_amplitudes(3, random_state_vector(3, np.random.default_rng(6)))
+        assert apply(state, GateApplication(IDENTITY, (1,))) is state
+        assert apply(state, GateApplication(custom_gate(2, np.eye(4)), (2, 0))) is state
+
     def test_self_inverse_gates(self):
         rng = np.random.default_rng(7)
         state = from_amplitudes(4, random_state_vector(4, rng))
@@ -196,10 +248,3 @@ class TestGateProperties:
             state = apply(state, GateApplication(gate, targets))
         norm = float(np.vdot(state.amplitudes, state.amplitudes).real)
         assert abs(norm - 1.0) < 1e-9
-
-    def test_block_indices_partition_every_basis_index(self):
-        """Each basis index belongs to exactly one block row/column."""
-        for targets in [(2,), (0, 3), (4, 1, 2)]:
-            idx = qregsim.gates._block_indices(5, targets)
-            assert idx.shape == (1 << len(targets), 1 << (5 - len(targets)))
-            assert sorted(idx.reshape(-1).tolist()) == list(range(32))

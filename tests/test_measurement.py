@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_state_vector
+from oracles import (
+    bipartition_singular_values,
+    marginal_distribution_reference,
+    marginal_reference,
+    project_reference,
+    random_state_vector,
+)
 
 from qregsim import (
     RandomSource,
@@ -20,6 +26,7 @@ from qregsim import (
     sample_counts,
     tensor,
 )
+from qregsim.measurement import PRODUCT_TOLERANCE, _project
 
 
 class TestRandomSource:
@@ -218,6 +225,72 @@ class TestIsProduct:
             is_product(triple_state, set())
         with pytest.raises(ValueError):
             is_product(triple_state, set(range(5)))
+
+
+class TestAgainstBitMaskReference:
+    """The tensor-view marginals, projection and product check must agree
+    with the brute-force bit-mask references in tests/oracles.py."""
+
+    @staticmethod
+    def _states():
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 3, 5):
+            yield from_amplitudes(n, random_state_vector(n, rng))
+        yield from_amplitudes(4, np.eye(16)[6])
+
+    @staticmethod
+    def _subsets(n):
+        for size in range(n + 1):
+            yield from itertools.permutations(range(n), size)
+
+    def test_marginal_and_distribution(self):
+        for state in self._states():
+            amps = state.amplitudes
+            for qubits in self._subsets(state.num_qubits):
+                np.testing.assert_allclose(
+                    marginal_distribution(state, qubits),
+                    marginal_distribution_reference(amps, qubits),
+                    rtol=0, atol=1e-14,
+                )
+                for bits in itertools.product((0, 1), repeat=len(qubits)):
+                    assignment = dict(zip(qubits, bits))
+                    assert abs(
+                        marginal(state, assignment) - marginal_reference(amps, assignment)
+                    ) < 1e-14
+
+    def test_project(self):
+        for state in self._states():
+            for qubits in self._subsets(state.num_qubits):
+                for bits in itertools.product((0, 1), repeat=len(qubits)):
+                    assignment = dict(zip(qubits, bits))
+                    if marginal_reference(state.amplitudes, assignment) == 0.0:
+                        with pytest.raises(ValueError, match="zero probability"):
+                            _project(state, assignment)
+                        continue
+                    np.testing.assert_allclose(
+                        _project(state, assignment).amplitudes,
+                        project_reference(state.amplitudes, assignment),
+                        rtol=0, atol=1e-14,
+                    )
+
+    def test_is_product(self):
+        rng = np.random.default_rng(28)
+        parts = [from_amplitudes(2, random_state_vector(2, rng)) for _ in range(2)]
+        states = list(self._states()) + [tensor(*parts)]
+        for state in states:
+            n = state.num_qubits
+            for size in range(1, n):
+                for left in itertools.combinations(range(n), size):
+                    singular = bipartition_singular_values(state.amplitudes, left)
+                    assert is_product(state, set(left)) is bool(
+                        singular[1] < PRODUCT_TOLERANCE
+                    )
+
+    def test_measure_every_qubit_collapses_to_basis_state(self):
+        state = from_amplitudes(3, random_state_vector(3, np.random.default_rng(29)))
+        outcome = measure_qubits(state, [2, 0, 1], RandomSource(3))
+        index = sum(bit << q for q, bit in outcome.measured_bits.items())
+        assert outcome.post_state.probability(index) == pytest.approx(1.0, abs=1e-15)
 
 
 def _measure_forcing(state, qubits, wanted):

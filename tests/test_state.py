@@ -83,6 +83,15 @@ class TestFromAmplitudes:
         with pytest.raises(ValueError, match="finite"):
             from_amplitudes(1, [complex(0, np.inf), 0.0])
 
+    def test_direct_construction_names_the_fault(self):
+        """One norm pass decides; a non-finite norm is traced to its cause."""
+        with pytest.raises(ValueError, match="non-finite entry"):
+            QuantumState(1, [np.inf, 0.0])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            QuantumState(1, [1.0, np.nan])
+        with pytest.raises(ValueError, match="not normalized: squared norm is inf"):
+            QuantumState(1, [1e200, 0.0])
+
     def test_normalize_flag(self):
         state = from_amplitudes(1, [3.0, 4.0], normalize=True)
         np.testing.assert_allclose(state.amplitudes, [0.6, 0.8], atol=1e-15)
