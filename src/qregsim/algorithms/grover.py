@@ -5,6 +5,12 @@ indices.  Starting from the uniform superposition, each round flips the
 marked amplitudes and reflects about the start state; after the optimal
 round count the marked-subspace amplitude is sin((2k+1)*theta) with
 theta = asin(sqrt(M/N)).
+
+Every round keeps the state in the plane spanned by the start state
+``ref`` and its marked part ``P ref`` (Boyer, Brassard, Hoyer, Tapp,
+quant-ph/9605034), so the rounds update the two coefficients of
+``alpha ref + beta P ref`` and the amplitude vector is built once at the
+end.
 """
 
 from __future__ import annotations
@@ -23,17 +29,28 @@ from ..state import QuantumState, basis_state  # noqa: F401  (bound by perfbench
 
 @dataclass(frozen=True)
 class Oracle:
-    """A total predicate over the n-qubit basis indices, marking solutions."""
+    """A total predicate over the n-qubit basis indices, marking solutions.
+
+    The predicate must be deterministic: it is evaluated once per index, on
+    the first ``marked_indices`` call, and the result is reused.
+    """
 
     num_qubits: int
     predicate: Callable[[int], bool]
 
     def marked_indices(self) -> np.ndarray:
-        """All marked basis indices, found by enumeration."""
-        return np.fromiter(
-            (i for i in range(1 << self.num_qubits) if self.predicate(i)),
-            dtype=np.intp,
-        )
+        """All marked basis indices in ascending order (read-only array).
+
+        Enumerates the predicate over every index on the first call only.
+        """
+        marked = self.__dict__.get("_marked")
+        if marked is None:
+            marked = np.fromiter(
+                filter(self.predicate, range(1 << self.num_qubits)), dtype=np.intp
+            )
+            marked.flags.writeable = False
+            object.__setattr__(self, "_marked", marked)  # the dataclass is frozen
+        return marked
 
 
 class GroverResult(NamedTuple):
@@ -54,18 +71,24 @@ def iteration_count(marked: int, total: int) -> tuple[int, float]:
     return k, theta
 
 
-def amplify(
-    amplitudes: np.ndarray, marked: np.ndarray, reference: np.ndarray, rounds: int
-) -> np.ndarray:
+def amplify(reference: np.ndarray, marked: np.ndarray, rounds: int) -> np.ndarray:
     """Amplitude amplification: [flip marked; reflect about ``reference``] ** rounds.
 
-    The reflection is 2|ref><ref| - I, so support never leaves
-    span(reference, marked components).
+    Starts from the unit vector ``reference`` and returns a fresh array.  The
+    reflection is 2|ref><ref| - I, so the state stays
+    ``alpha ref + beta P ref``, where ``P`` keeps the ``marked`` indices and
+    ``p = ||P ref||**2``.  A marked flip maps beta to -2 alpha - beta; the
+    reflection maps alpha to alpha + 2 p beta and beta to -beta.  The rounds
+    are scalar arithmetic; the vector is built once, in O(2**n).
     """
-    amps = amplitudes.copy()
+    marked_ref = reference[marked]
+    p = float(np.vdot(marked_ref, marked_ref).real)
+    alpha, beta = 1.0, 0.0
     for _ in range(rounds):
-        amps[marked] *= -1.0
-        amps = 2.0 * np.vdot(reference, amps) * reference - amps
+        beta = -2.0 * alpha - beta
+        alpha, beta = alpha + 2.0 * p * beta, -beta
+    amps = alpha * reference
+    amps[marked] += beta * marked_ref
     return amps
 
 
@@ -108,7 +131,7 @@ def amplified_state(oracle: Oracle, marked_count: int) -> tuple[QuantumState, in
         )
     k, theta = iteration_count(marked_count, total)
     start = uniform_superposition(n)
-    amps = amplify(start.amplitudes, marked, start.amplitudes, k)
+    amps = amplify(start.amplitudes, marked, k)
     state = QuantumState(n, amps, copy=False)
     marked_amp = math.sqrt(float(np.sum(np.abs(amps[marked]) ** 2)))
     assert abs(marked_amp - abs(math.sin((2 * k + 1) * theta))) < 1e-9

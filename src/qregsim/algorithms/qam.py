@@ -87,7 +87,7 @@ def qam_query(
         )
     k, theta = iteration_count(len(matches), len(memory.patterns))
     marked = np.array([int(p, 2) for p in matches], dtype=np.intp)
-    amps = amplify(memory.state.amplitudes, marked, memory.state.amplitudes, k)
+    amps = amplify(memory.state.amplitudes, marked, k)
     final = QuantumState(memory.pattern_length, amps, copy=False)
     outcome, _ = measure_all(final, rng)
     pattern = format(outcome, f"0{memory.pattern_length}b")

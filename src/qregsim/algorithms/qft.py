@@ -4,13 +4,15 @@ The transform maps |j> to 2**(-n/2) * sum_k exp(2*pi*i*j*k / 2**n) |k>,
 extended linearly.  It is compiled to the standard ladder: for each qubit
 from the most significant down, a Hadamard followed by controlled phase
 rotations pi/2, pi/4, ... conditioned on the lower qubits, finished by a
-qubit-reversal swap stage.
+qubit-reversal swap stage.  Each ladder, forward and inverse, is built
+once per register and reused, so its gates keep their kernel row terms.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .. import gates
 from ..gates import GateApplication
@@ -23,7 +25,11 @@ def qft_applications(qubits: Sequence[int]) -> list[GateApplication]:
     ``qubits`` lists the register's qubit indices; significance follows the
     listed order with the last entry most significant.
     """
-    order = list(qubits)
+    return list(_forward_ladder(tuple(int(q) for q in qubits)))
+
+
+@lru_cache(maxsize=16)
+def _forward_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
     steps: list[GateApplication] = []
     m = len(order)
     for i in range(m - 1, -1, -1):
@@ -35,29 +41,31 @@ def qft_applications(qubits: Sequence[int]) -> list[GateApplication]:
             )
     for i in range(m // 2):
         steps.append(GateApplication(gates.EXCHANGE, (order[i], order[m - 1 - i])))
-    return steps
+    return tuple(steps)
 
 
-def _inverse(steps: list[GateApplication]) -> list[GateApplication]:
+@lru_cache(maxsize=16)
+def _inverse_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
+    """The forward ladder reversed, every controlled phase negated."""
     inverted = []
-    for step in reversed(steps):
+    for step in reversed(_forward_ladder(order)):
         gate = step.gate
         if gate.phi is not None:
             gate = gates.controlled_phase(-gate.phi)
         inverted.append(GateApplication(gate, step.targets))
-    return inverted
+    return tuple(inverted)
 
 
-def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> list[int]:
+def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> tuple[int, ...]:
     if qubits is None:
-        return list(range(state.num_qubits))
+        return tuple(range(state.num_qubits))
     qubits = [int(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubit indices in {qubits}")
     for q in qubits:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
-    return sorted(qubits)
+    return tuple(sorted(qubits))
 
 
 def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:
@@ -66,13 +74,13 @@ def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumStat
     Sub-register significance follows qubit index order, matching the basis
     index convention.
     """
-    for step in qft_applications(_resolve_qubits(state, qubits)):
+    for step in _forward_ladder(_resolve_qubits(state, qubits)):
         state = gates.apply(state, step)
     return state
 
 
 def inverse_qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:
     """Inverse transform; inverse_qft(qft(s)) recovers s."""
-    for step in _inverse(qft_applications(_resolve_qubits(state, qubits))):
+    for step in _inverse_ladder(_resolve_qubits(state, qubits)):
         state = gates.apply(state, step)
     return state

@@ -9,7 +9,7 @@ Circuit file grammar (UTF-8, one instruction per line, ``#`` comments)::
 
 Mnemonics are ``id``, ``x``, ``h``, ``phase``, ``cnot``, ``cphase``,
 ``swap``, ``toffoli``, ``fredkin``; operands are qubit indices with control
-qubits first, and ``phase``/``cphase`` take a trailing angle in radians
+qubits first, and ``phase``/``cphase`` take a trailing finite angle in radians
 (decimal literal).  ``measure`` names the terminally measured qubits (or
 ``all``) and, when present, must be the last instruction.
 """
@@ -189,10 +189,8 @@ def parse(text: str) -> Circuit:
                 raise CircuitParseError(
                     line_number, f"expected an angle in radians, got {operands[arity]!r}"
                 ) from None
-            gate = _PHASE_GATES[word](phi)
-        else:
-            gate = _FIXED_GATES[word]
         try:
+            gate = _PHASE_GATES[word](phi) if takes_phase else _FIXED_GATES[word]
             steps.append(GateApplication(gate, qubit_ops))
         except ValueError as exc:
             raise CircuitParseError(line_number, str(exc)) from None

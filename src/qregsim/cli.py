@@ -30,7 +30,7 @@ from .algorithms import (
     shor_factor,
 )
 from .circuit import CircuitParseError, RunResult
-from .measurement import RandomSource
+from .measurement import SEED_LIMIT, RandomSource
 from .state import from_amplitudes
 
 USAGE_ERROR = 1
@@ -314,8 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         args.seed = _fresh_seed()
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("error: seed must be nonnegative", file=sys.stderr)
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed < SEED_LIMIT:
+        print("error: seed must be a nonnegative 64-bit integer", file=sys.stderr)
         return USAGE_ERROR
 
     try:

@@ -105,14 +105,23 @@ TOFFOLI = Gate("toffoli", 3, _permutation_matrix(3, {0b110: 0b111, 0b111: 0b110}
 FREDKIN = Gate("fredkin", 3, _permutation_matrix(3, {0b101: 0b110, 0b110: 0b101}))
 
 
+def _finite_angle(phi: float) -> float:
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase angle must be finite, got {phi!r}")
+    return phi
+
+
 def phase_shift(phi: float) -> Gate:
     """diag(1, e^{i*phi}): phase on the |1> component of one qubit."""
-    return Gate("phase", 1, np.diag([1.0, cmath.exp(1j * phi)]), phi=float(phi))
+    phi = _finite_angle(phi)
+    return Gate("phase", 1, np.diag([1.0, cmath.exp(1j * phi)]), phi=phi)
 
 
 def controlled_phase(phi: float) -> Gate:
     """Two-qubit diag(1, 1, 1, e^{i*phi}); symmetric in its qubits."""
-    return Gate("cphase", 2, np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]), phi=float(phi))
+    phi = _finite_angle(phi)
+    return Gate("cphase", 2, np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]), phi=phi)
 
 
 def custom_gate(arity: int, entries) -> Gate:

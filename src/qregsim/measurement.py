@@ -20,6 +20,9 @@ from .state import QuantumState, basis_state
 #: Second singular value below this means the bipartition factorizes.
 PRODUCT_TOLERANCE = 1e-9
 
+#: Seeds are the 64-bit integers in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
+
 
 class RandomSource:
     """Seeded deterministic stream of uniform doubles in [0, 1).
@@ -32,8 +35,8 @@ class RandomSource:
     __slots__ = ("_seed", "_generator", "_draws")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed!r}")
         self._seed = int(seed)
         self._generator = np.random.Generator(np.random.PCG64(self._seed))
         self._draws = 0

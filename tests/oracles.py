@@ -3,8 +3,9 @@
 Everything here is deliberately built by a different route than the
 library code: gate embeddings go through an explicit Kronecker product and
 basis permutation, the Fourier matrix through direct summation, orders
-through exhaustive exponentiation, and marginals, projections and product
-checks through bit masks over every basis index.
+through exhaustive exponentiation, marginals, projections and product
+checks through bit masks over every basis index, and amplitude
+amplification through one full-vector pass per reflection.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def bipartition_singular_values(amplitudes: np.ndarray, left) -> np.ndarray:
     matrix = np.zeros((1 << len(left), 1 << len(right)), dtype=np.complex128)
     matrix[rows, cols] = amplitudes
     return np.linalg.svd(matrix, compute_uv=False)
+
+
+def amplify_reference(reference: np.ndarray, marked, rounds: int) -> np.ndarray:
+    """[flip marked; reflect about reference] ** rounds, one pass over 2**n per step."""
+    amps = reference.copy()
+    for _ in range(rounds):
+        amps[marked] *= -1.0
+        amps = 2.0 * np.vdot(reference, amps) * reference - amps
+    return amps
 
 
 def chi_square_statistic(counts: np.ndarray, expected: float) -> float:

@@ -76,6 +76,12 @@ class TestParse:
         with pytest.raises(CircuitParseError, match="angle"):
             parse_circuit("qubits 1\nphase 0 pi\n")
 
+    @pytest.mark.parametrize("instruction", ["phase 1", "cphase 0 1"])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_angle_reports_line(self, instruction, angle):
+        with pytest.raises(CircuitParseError, match="line 3: phase angle must be finite"):
+            parse_circuit(f"qubits 2\nh 0\n{instruction} {angle}\nmeasure all\n")
+
 
 class TestSerialize:
     def test_bell_round_trip(self):

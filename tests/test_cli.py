@@ -60,6 +60,15 @@ class TestRun:
         _, second, _ = run_cli(capsys, "run", bell_file, "--seed", "21")
         assert first == second
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_is_runtime_error(self, capsys, tmp_path, angle):
+        path = tmp_path / "bad.qc"
+        path.write_text(f"qubits 2\nh 0\ncphase 0 1 {angle}\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err and "finite" in err
+
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "/nonexistent/x.qc")
         assert code == 2
@@ -170,6 +179,15 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "qrng", "--seed", "-4")
         assert code == 1
         assert "seed" in err
+
+    def test_seed_must_fit_64_bits(self, capsys):
+        code, out, _ = run_cli(capsys, "qrng", "--seed", str(2**64 - 1), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+        code, out, err = run_cli(capsys, "qrng", "--seed", str(2**64))
+        assert code == 1
+        assert out == ""
+        assert "64-bit" in err
 
 
 class TestEnvironmentCap:

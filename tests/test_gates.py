@@ -56,6 +56,12 @@ class TestMatrices:
         state = apply(basis_state(1, 0), GateApplication(NOT, (0,)))
         np.testing.assert_array_equal(state.amplitudes, [0, 1])
 
+    @pytest.mark.parametrize("factory", [phase_shift, controlled_phase])
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, factory, phi):
+        with pytest.raises(ValueError, match="finite"):
+            factory(phi)
+
     def test_phase_pi_is_diag_one_minus_one(self):
         np.testing.assert_allclose(
             matrix_of(phase_shift(math.pi)), np.diag([1, -1]), atol=1e-15

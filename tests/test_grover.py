@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import amplify_reference
+
 from qregsim import RandomSource
 from qregsim.algorithms import (
     Oracle,
     amplified_state,
     count_marked,
     grover_search,
+    qam_store,
     uniform_superposition,
 )
+from qregsim.algorithms.grover import amplify, iteration_count
 
 
 class TestCountMarked:
@@ -24,6 +28,85 @@ class TestCountMarked:
 
     def test_even_indices(self):
         assert count_marked(Oracle(4, lambda i: i % 2 == 0)) == 8
+
+
+class TestOracleEnumeration:
+    def test_predicate_runs_once_per_index(self):
+        calls = []
+
+        def predicate(i):
+            calls.append(i)
+            return i in (3, 77)
+
+        oracle = Oracle(7, predicate)
+        result = grover_search(oracle, count_marked(oracle), RandomSource(4))
+        assert 0 <= result.outcome < 128
+        np.testing.assert_array_equal(oracle.marked_indices(), [3, 77])
+        assert sorted(calls) == list(range(128))
+
+    def test_marked_indices_read_only(self):
+        marked = Oracle(4, lambda i: i % 3 == 0).marked_indices()
+        assert not marked.flags.writeable
+        with pytest.raises(ValueError):
+            marked[0] = 1
+
+    def test_equality_and_hash_ignore_enumeration(self):
+        def predicate(i):
+            return i == 2
+
+        enumerated, fresh = Oracle(3, predicate), Oracle(3, predicate)
+        enumerated.marked_indices()
+        assert enumerated == fresh
+        assert hash(enumerated) == hash(fresh)
+        assert enumerated != Oracle(4, predicate)
+
+
+class TestAmplify:
+    @staticmethod
+    def _sparse_memory(n, rng):
+        stored = rng.choice(1 << n, size=max(2, (1 << n) // 5), replace=False)
+        return qam_store(format(int(i), f"0{n}b") for i in stored).state.amplitudes
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("memory", [False, True], ids=["uniform", "qam"])
+    def test_matches_full_vector_loop(self, n, memory):
+        rng = np.random.default_rng(400 + n)
+        reference = (
+            self._sparse_memory(n, rng) if memory else uniform_superposition(n).amplitudes
+        )
+        support = np.flatnonzero(reference)
+        for _ in range(3):
+            count = int(rng.integers(1, support.size + 1))
+            marked = np.sort(rng.choice(support, size=count, replace=False))
+            k, _ = iteration_count(count, support.size)
+            for rounds in range(k + 4):
+                np.testing.assert_allclose(
+                    amplify(reference, marked, rounds),
+                    amplify_reference(reference, marked, rounds),
+                    rtol=0, atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("marked_count", range(1, 9))
+    def test_closed_form_at_eighteen_qubits(self, marked_count):
+        n = 18
+        total = 1 << n
+        rng = np.random.default_rng(marked_count)
+        marked = np.sort(rng.choice(total, size=marked_count, replace=False))
+        unmarked = np.setdiff1d(np.arange(total), marked)
+        k, theta = iteration_count(marked_count, total)
+        amps = amplify(uniform_superposition(n).amplitudes, marked, k)
+        angle = (2 * k + 1) * theta
+        assert np.abs(amps[marked] - math.sin(angle) / math.sqrt(marked_count)).max() < 1e-14
+        assert np.abs(
+            amps[unmarked] - math.cos(angle) / math.sqrt(total - marked_count)
+        ).max() < 1e-14
+
+    def test_zero_rounds_is_a_fresh_copy(self):
+        start = uniform_superposition(5).amplitudes
+        amps = amplify(start, np.array([3, 9]), 0)
+        assert amps is not start and not np.shares_memory(amps, start)
+        assert amps.flags.writeable
+        np.testing.assert_array_equal(amps, start)
 
 
 class TestUniformSuperposition:

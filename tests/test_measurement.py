@@ -45,6 +45,12 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(-1)
 
+    def test_seed_must_fit_64_bits(self):
+        assert RandomSource(2**64 - 1).seed == 2**64 - 1
+        assert RandomSource(np.uint64(2**64 - 1)).seed == 2**64 - 1
+        with pytest.raises(ValueError, match="64-bit"):
+            RandomSource(2**64)
+
 
 class TestMarginal:
     def test_triple_leftmost_qubit(self, triple_state):

@@ -7,8 +7,9 @@ import pytest
 
 from oracles import dft_matrix, random_state_vector
 
-from qregsim import basis_state, from_amplitudes
-from qregsim.algorithms import inverse_qft, qft
+from qregsim import basis_state, from_amplitudes, gates
+from qregsim.algorithms import inverse_qft, qft, qft_applications
+from qregsim.algorithms.qft import _forward_ladder, _inverse_ladder
 
 
 class TestForward:
@@ -69,3 +70,63 @@ class TestSubRegister:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):
             qft(basis_state(3, 0), qubits=[0, 0])
+
+
+class TestLadderCache:
+    ORDERS = [(0, 1, 2, 3, 4), (1, 3, 4), (2,)]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_inverse_is_forward_reversed_with_negated_phases(self, order):
+        inverse = _inverse_ladder(order)
+        forward = qft_applications(order)
+        assert len(inverse) == len(forward)
+        for step, original in zip(inverse, reversed(forward)):
+            assert step.targets == original.targets
+            if original.gate.phi is None:
+                assert step.gate is original.gate
+            else:
+                assert step.gate.name == original.gate.name == "cphase"
+                assert step.gate.phi == -original.gate.phi
+                assert step.gate == gates.controlled_phase(-original.gate.phi)
+
+    def test_repeat_transforms_construct_no_gates(self, monkeypatch):
+        state = from_amplitudes(6, random_state_vector(6, np.random.default_rng(63)))
+        register = [5, 0, 2, 3]
+        inverse_qft(qft(state, register), register)
+        built = []
+        original = gates.controlled_phase
+
+        def counting(phi):
+            built.append(phi)
+            return original(phi)
+
+        monkeypatch.setattr(gates, "controlled_phase", counting)
+        inverse_qft(qft(state, register), register)
+        assert built == []
+
+    @pytest.mark.parametrize("register", [None, [4, 1, 2]])
+    def test_outputs_bit_identical_to_uncached_ladder(self, register):
+        state = from_amplitudes(5, random_state_vector(5, np.random.default_rng(64)))
+        order = tuple(sorted(register)) if register else tuple(range(5))
+        forward = _forward_ladder.__wrapped__(order)
+        inverse = [
+            gates.GateApplication(
+                gates.controlled_phase(-s.gate.phi) if s.gate.phi is not None else s.gate,
+                s.targets,
+            )
+            for s in reversed(_forward_ladder.__wrapped__(order))
+        ]
+        for cached, steps in ((qft, forward), (inverse_qft, inverse)):
+            expected = state
+            for step in steps:
+                expected = gates.apply(expected, step)
+            for _ in range(2):
+                got = cached(state, register)
+                assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    def test_public_ladder_is_a_fresh_list(self):
+        first = qft_applications([0, 1, 2])
+        first.clear()
+        second = qft_applications([0, 1, 2])
+        assert len(second) == 7
+        assert second is not qft_applications([0, 1, 2])
