@@ -5,7 +5,8 @@ extended linearly.  It is compiled to the standard ladder: for each qubit
 from the most significant down, a Hadamard followed by controlled phase
 rotations pi/2, pi/4, ... conditioned on the lower qubits, finished by a
 qubit-reversal swap stage.  Each ladder, forward and inverse, is built
-once per register and reused, so its gates keep their kernel row terms.
+once per register and reused, so its gates keep their kernel plans.  A
+transform copies its input once and runs the ladder on that copy.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import lru_cache
+
+import numpy as np
 
 from .. import gates
 from ..gates import GateApplication
@@ -74,13 +77,11 @@ def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumStat
     Sub-register significance follows qubit index order, matching the basis
     index convention.
     """
-    for step in _forward_ladder(_resolve_qubits(state, qubits)):
-        state = gates.apply(state, step)
-    return state
+    ladder = _forward_ladder(_resolve_qubits(state, qubits))
+    return gates._evolve(np.array(state.amplitudes), state.num_qubits, ladder)
 
 
 def inverse_qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:
     """Inverse transform; inverse_qft(qft(s)) recovers s."""
-    for step in _inverse_ladder(_resolve_qubits(state, qubits)):
-        state = gates.apply(state, step)
-    return state
+    ladder = _inverse_ladder(_resolve_qubits(state, qubits))
+    return gates._evolve(np.array(state.amplitudes), state.num_qubits, ladder)

@@ -83,9 +83,9 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
             f"exceeding the cap of {get_max_qubits()}"
         )
     exponent_register = list(range(m, m + t))
+    register = _entangled_register(a, mod_n, t, m)
     for _ in range(PERIOD_RETRY_CAP):
-        state = _entangled_register(a, mod_n, t, m)
-        state = measure_qubits(state, list(range(m)), rng).post_state
+        state = measure_qubits(register, list(range(m)), rng).post_state
         state = inverse_qft(state, exponent_register)
         outcome = measure_qubits(state, exponent_register, rng)
         y = sum(bit << j for j, (q, bit) in enumerate(sorted(outcome.measured_bits.items())))

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gates
 from .gates import Gate, GateApplication
 from .measurement import RandomSource, sample_counts
-from .state import QuantumState, basis_state
+from .state import QuantumState, _check_num_qubits, get_max_qubits
+from .state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
 class CircuitParseError(ValueError):
@@ -86,10 +89,10 @@ class Circuit:
 
     def final_state(self) -> QuantumState:
         """Evolve |0...0> through every step (no measurement)."""
-        state = basis_state(self.num_qubits, 0)
-        for step in self.steps:
-            state = gates.apply(state, step)
-        return state
+        _check_num_qubits(self.num_qubits)
+        amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+        amps[0] = 1.0
+        return gates._evolve(amps, self.num_qubits, self.steps)
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,11 @@ def parse(text: str) -> Circuit:
             num_qubits = _parse_int(operands[0], line_number, "a qubit count")
             if num_qubits < 1:
                 raise CircuitParseError(line_number, f"qubit count must be positive, got {num_qubits}")
+            if num_qubits > get_max_qubits():
+                raise CircuitParseError(
+                    line_number,
+                    f"qubit count {num_qubits} exceeds the configured cap of {get_max_qubits()}",
+                )
             continue
 
         if saw_measure:

@@ -7,6 +7,8 @@ significant bit of the matrix row/column index, so CNOT with targets
 [0,0,1,0]]``.  Applying a gate never materializes the full 2**n x 2**n
 operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
 output slice of the target axes sums input slices weighted by a matrix row.
+A gate sequence evolves one buffer it owns, in place where the gate allows,
+and validates the state once at the end.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ UNITARY_TOLERANCE = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
+#: Non-target qubits per kernel chunk: 2**14 amplitudes (256 KiB) per row
+#: slice, so a chunk's slices and the scratch slice fit in a 2 MiB L2 cache.
+_CHUNK_QUBITS = 14
+
 
 class Gate:
     """A named unitary acting on a fixed number of qubits.
@@ -32,9 +38,14 @@ class Gate:
     Instances are immutable.  Use the module-level constants (IDENTITY, NOT,
     HADAMARD, CNOT, EXCHANGE, TOFFOLI, FREDKIN) and the factories
     phase_shift(), controlled_phase() and custom_gate().
+
+    The constructor does not check unitarity; custom_gate() does.  A
+    non-unitary raw gate is caught where states are validated: by apply()
+    on its output, and by a gate sequence (Circuit.final_state, qft,
+    inverse_qft) only at the end, when the final state is not normalized.
     """
 
-    __slots__ = ("name", "arity", "matrix", "phi", "_rows")
+    __slots__ = ("name", "arity", "matrix", "phi", "_kernel_plan")
 
     def __init__(self, name: str, arity: int, matrix: np.ndarray, phi: float | None = None):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -52,23 +63,53 @@ class Gate:
     def __setattr__(self, key, value):
         raise AttributeError("Gate instances are immutable")
 
-    def _terms(self):
-        """Nonzero (column, entry) terms per matrix row; None for the identity.
+    def _plan(self):
+        """How the kernel applies this gate; None for the identity.
 
-        Indices are bit tuples with a trailing Ellipsis, so they index views
-        even when the gate spans every axis; an all-zero row keeps one zero
-        term.  Built on first apply, so gates never applied (inverse_qft's
-        forward ladder) cost nothing here.
+        Otherwise ``(rows, in_place, scratch)``.  Each row holds its index,
+        its nonzero (column, entry) terms and whether it is parked: copied to
+        scratch before an in-place update overwrites it, because a later row
+        reads it.  Indices are bit tuples with a trailing Ellipsis, so they
+        index views even when the gate spans every axis; an all-zero row
+        keeps one zero term.  A gate runs in place when each row has one
+        term, moved rows have unit entries (a permutation, with phases only
+        on the rows it keeps), each parked row is read back before the next
+        is parked, so one scratch slice holds it, and the identity rows it
+        skips outnumber the rows it parks.  Any other gate writes a second
+        buffer.  ``scratch`` says whether the plan uses the scratch slice.
+        Built on first use, so gates never applied cost nothing here.
         """
-        if not hasattr(self, "_rows"):
-            bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
-            rows = [
-                (index, [(bits[c], u) for c, u in enumerate(row) if u] or [(index, 0)])
-                for index, row in zip(bits, self.matrix.tolist())
-            ]
-            identity = all(terms == [(index, 1)] for index, terms in rows)
-            object.__setattr__(self, "_rows", None if identity else rows)
-        return self._rows
+        if not hasattr(self, "_kernel_plan"):
+            object.__setattr__(self, "_kernel_plan", self._build_plan())
+        return self._kernel_plan
+
+    def _build_plan(self):
+        terms = [
+            [(c, u) for c, u in enumerate(row) if u] or [(r, 0)]
+            for r, row in enumerate(self.matrix.tolist())
+        ]
+        skipped = sum(t == [(r, 1)] for r, t in enumerate(terms))
+        if skipped == len(terms):
+            return None
+        monomial = all(len(t) == 1 for t in terms)
+        last_read = {c: r for r, t in enumerate(terms) for c, _ in t}
+        spans = [(r, last_read[r]) for r in range(len(terms)) if last_read.get(r, r) > r]
+        # numpy scales a slice read from elsewhere in the same buffer with
+        # other rounding than one read from another buffer, so in place every
+        # moved slice must be a plain copy.
+        in_place = (
+            monomial
+            and all(t[0][0] == r or t[0][1] == 1 for r, t in enumerate(terms))
+            and len(spans) < skipped
+            and all(end < start for (_, end), (start, _) in zip(spans, spans[1:]))
+        )
+        parked = {r for r, _ in spans} if in_place else set()
+        bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
+        rows = tuple(
+            (bits[r], [(bits[c], u) for c, u in t], r in parked)
+            for r, t in enumerate(terms)
+        )
+        return rows, in_place, bool(parked) or not monomial
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -187,13 +228,100 @@ class GateApplication:
         return f"GateApplication({self.gate!r}, targets={self.targets})"
 
 
+def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None:
+    """Write one gate plan applied to ``source`` into ``out``, unvalidated.
+
+    On the ``[2]*n`` view, each output slice of the target axes sums input
+    slices weighted by a matrix row; unit entries are slice copies.  ``out``
+    is another buffer, or ``source`` itself for an in-place plan: identity
+    rows are then skipped and parked rows read back from ``scratch``.
+    ``scratch`` holds ``_scratch_size(n)`` amplitudes, or is None when the
+    plan needs none.  Non-target axes above the lowest ``_CHUNK_QUBITS`` are
+    walked one index at a time, so the passes over one chunk's slices run in
+    cache instead of streaming the whole state once per pass.
+    """
+    n = source.size.bit_length() - 1
+    axes = [n - 1 - q for q in targets]
+    rest = [a for a in range(n) if a not in axes]
+    outer = rest[: max(0, len(rest) - _CHUNK_QUBITS)]
+    order = outer + axes + rest[len(outer):]
+    src = source.reshape((2,) * n).transpose(order)
+    view = out.reshape((2,) * n).transpose(order)
+    inner = len(rest) - len(outer)
+    tmp = None if scratch is None else scratch[: 1 << inner].reshape((2,) * inner)
+    for chunk in itertools.product((0, 1), repeat=len(outer)):
+        chunk_src, chunk_out = src[chunk], view[chunk]
+        parked = None
+        for r, terms, park in rows:
+            dst = chunk_out[r]
+            if out is source:
+                if terms == [(r, 1)]:
+                    continue
+                if park:
+                    tmp[...] = dst
+                    parked = r
+            for j, (c, u) in enumerate(terms):
+                part = tmp if c == parked else chunk_src[c]
+                if j == 0:
+                    if u == 1 and part is not tmp and out is source:
+                        # Slice assignment between interleaved views of one
+                        # buffer goes through a slice-sized temporary; a
+                        # ufunc copy does not.
+                        np.positive(part, out=dst)
+                    elif u == 1:
+                        dst[...] = part
+                    else:
+                        np.multiply(part, u, out=dst)
+                elif u == 1:
+                    dst += part
+                else:
+                    dst += np.multiply(u, part, out=tmp)
+
+
+def _scratch_size(num_qubits: int) -> int:
+    """Amplitudes in the scratch slice: one row slice of one chunk."""
+    return 1 << min(num_qubits - 1, _CHUNK_QUBITS)
+
+
+def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
+    """Run ``steps`` on ``amplitudes``, a writable buffer the caller hands
+    over, and validate the result once.
+
+    In-place plans update the buffer itself; the others write a spare
+    buffer, which then trades places with it.  The spare and the scratch
+    slice are allocated once, when a step first needs them, and are released
+    when this returns.  A non-unitary raw ``Gate`` therefore fails here, at
+    the end of the sequence, and only if it leaves the final state
+    unnormalized.
+    """
+    spare = scratch = None
+    for step in steps:
+        plan = step.gate._plan()
+        if plan is None:
+            continue
+        rows, in_place, needs_scratch = plan
+        if needs_scratch and scratch is None:
+            scratch = np.empty(_scratch_size(num_qubits), dtype=np.complex128)
+        # A gate on every qubit has one-element slices, which numpy scales
+        # in place with other rounding than out of place.
+        if in_place and step.gate.arity < num_qubits:
+            _update(rows, step.targets, amplitudes, amplitudes, scratch)
+        else:
+            if spare is None:
+                spare = np.empty_like(amplitudes)
+            _update(rows, step.targets, amplitudes, spare, scratch)
+            amplitudes, spare = spare, amplitudes
+    return QuantumState(num_qubits, amplitudes, copy=False)
+
+
 def apply(state: QuantumState, application: GateApplication) -> QuantumState:
     """Apply a gate to the given qubits of a register.
 
     Equivalent to multiplying by the gate embedded on its targets with
     identity elsewhere, at 2**(n-k) work per nonzero matrix entry: unit
     entries are slice copies, so permutation and diagonal gates only move or
-    scale slices.  Returns a new state, or the input itself for the identity.
+    scale slices.  Returns a new, validated state, or the input itself for
+    the identity.
     """
     n = state.num_qubits
     targets = application.targets
@@ -201,21 +329,13 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
         raise ValueError(
             f"target qubit {max(targets)} out of range for {n}-qubit state"
         )
-    rows = application.gate._terms()
-    if rows is None:
+    plan = application.gate._plan()
+    if plan is None:
         return state
-    axes = [n - 1 - q for q in targets]
-    order = axes + [a for a in range(n) if a not in axes]  # targets first
-    source = state.amplitudes.reshape((2,) * n).transpose(order)
+    rows, in_place, needs_scratch = plan
     out = np.empty(state.dim, dtype=np.complex128)
-    view = out.reshape((2,) * n).transpose(order)
-    for r, terms in rows:
-        dst = view[r]
-        for j, (c, u) in enumerate(terms):
-            if j:
-                dst += source[c] if u == 1 else u * source[c]
-            elif u == 1:
-                dst[...] = source[c]
-            else:
-                np.multiply(source[c], u, out=dst)
+    scratch = None
+    if needs_scratch and not in_place:  # an in-place plan's scratch is for parking
+        scratch = np.empty(_scratch_size(n), dtype=np.complex128)
+    _update(rows, targets, state.amplitudes, out, scratch)
     return QuantumState(n, out, copy=False)

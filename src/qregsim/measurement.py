@@ -188,7 +188,11 @@ def sample_counts(
         distribution = marginal_distribution(state, sorted(_check_qubits(state, qubits)))
     cum = np.cumsum(distribution)
     cum /= cum[-1]
-    outcomes = np.searchsorted(cum, rng.uniforms(shots), side="right")
+    # Sorted draws make the lookups monotone instead of random over ``cum``;
+    # the multiset of outcomes, and so the counts, stay the same.
+    uniforms = rng.uniforms(shots)
+    uniforms.sort()
+    outcomes = np.searchsorted(cum, uniforms, side="right")
     values, freq = np.unique(outcomes, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
 

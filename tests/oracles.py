@@ -4,8 +4,9 @@ Everything here is deliberately built by a different route than the
 library code: gate embeddings go through an explicit Kronecker product and
 basis permutation, the Fourier matrix through direct summation, orders
 through exhaustive exponentiation, marginals, projections and product
-checks through bit masks over every basis index, and amplitude
-amplification through one full-vector pass per reflection.
+checks through bit masks over every basis index, amplitude
+amplification through one full-vector pass per reflection, and shot
+sampling through unsorted lookups.
 """
 
 from __future__ import annotations
@@ -105,6 +106,15 @@ def amplify_reference(reference: np.ndarray, marked, rounds: int) -> np.ndarray:
         amps[marked] *= -1.0
         amps = 2.0 * np.vdot(reference, amps) * reference - amps
     return amps
+
+
+def sample_counts_reference(distribution: np.ndarray, uniforms: np.ndarray) -> dict[int, int]:
+    """Counts per outcome, one inverse-CDF lookup per uniform in draw order."""
+    cum = np.cumsum(distribution)
+    cum /= cum[-1]
+    outcomes = np.searchsorted(cum, uniforms, side="right")
+    values, freq = np.unique(outcomes, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, freq)}
 
 
 def chi_square_statistic(counts: np.ndarray, expected: float) -> float:

@@ -1,6 +1,8 @@
 """Tests for the circuit text format, round-tripping, and multi-shot runs."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +14,15 @@ from qregsim import (
     CircuitParseError,
     GateApplication,
     controlled_phase,
+    get_max_qubits,
     parse_circuit,
     phase_shift,
     run_circuit,
     serialize_circuit,
+    set_max_qubits,
 )
+from qregsim import circuit as circuit_mod
+from qregsim import gates
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure all\n"
 
@@ -75,6 +81,14 @@ class TestParse:
     def test_bad_phase_literal(self):
         with pytest.raises(CircuitParseError, match="angle"):
             parse_circuit("qubits 1\nphase 0 pi\n")
+
+    def test_qubit_count_above_cap_reports_line(self):
+        cap = get_max_qubits()
+        parse_circuit(f"qubits {cap}\nmeasure all\n")
+        with pytest.raises(CircuitParseError, match=f"line 2: qubit count {cap + 1} exceeds"):
+            parse_circuit(f"# header\nqubits {cap + 1}\nh 0\n")
+        with pytest.raises(CircuitParseError, match="line 1: qubit count 40 exceeds"):
+            parse_circuit("qubits 40\n")
 
     @pytest.mark.parametrize("instruction", ["phase 1", "cphase 0 1"])
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "1e400"])
@@ -178,3 +192,79 @@ def _random_circuit(rng):
         size = int(rng.integers(1, n + 1))
         terminal = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
     return Circuit(n, tuple(steps), terminal)
+
+
+def _every_mnemonic_text(rnd, n, h_layer):
+    """An H layer on ``h_layer`` qubits, then each mnemonic once in random order."""
+    arity = circuit_mod._ARITY
+    lines = [f"qubits {n}"] + [f"h {q}" for q in sorted(rnd.sample(range(n), h_layer))]
+    for word in rnd.sample(sorted(arity), len(arity)):
+        tokens = [word] + [str(q) for q in rnd.sample(range(n), arity[word])]
+        if word in ("phase", "cphase"):
+            tokens.append(repr(rnd.uniform(-math.pi, math.pi)))
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\nmeasure all\n"
+
+
+def _peak_over_state(fn, num_qubits):
+    """tracemalloc peak while ``fn`` runs, over the bytes of one state."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (16 << num_qubits)
+
+
+class TestMemory:
+    """Evolution holds the state, one spare and a chunk-sized scratch slice."""
+
+    N = 18
+    BOUND = 2.6
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_peak_within_bound(self, k):
+        circuit = parse_circuit(_every_mnemonic_text(random.Random(k), self.N, 4))
+        assert _peak_over_state(circuit.final_state, self.N) <= self.BOUND
+        assert _peak_over_state(lambda: run_circuit(circuit, 1 << 16, k), self.N) <= self.BOUND
+
+    def test_bound_catches_a_kept_copy(self, monkeypatch):
+        circuit = parse_circuit(_every_mnemonic_text(random.Random(0), self.N, 4))
+        evolve = gates._evolve
+
+        def keeping_a_copy(amplitudes, num_qubits, steps):
+            kept = amplitudes.copy()  # noqa: F841
+            return evolve(amplitudes, num_qubits, steps)
+
+        monkeypatch.setattr(gates, "_evolve", keeping_a_copy)
+        assert _peak_over_state(circuit.final_state, self.N) > self.BOUND
+
+    def test_buffers_released_before_sampling(self, monkeypatch):
+        circuit = parse_circuit(_every_mnemonic_text(random.Random(1), self.N, 4))
+        held = []
+        sample_counts = circuit_mod.sample_counts
+
+        def sampling(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return sample_counts(*args, **kwargs)
+
+        monkeypatch.setattr(circuit_mod, "sample_counts", sampling)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_circuit(circuit, 1 << 10, 5)
+        finally:
+            tracemalloc.stop()
+        assert (held[0] - base) / (16 << self.N) <= 1.05
+
+    def test_register_over_cap_is_rejected(self):
+        circuit = Circuit(4, (GateApplication(HADAMARD, (3,)),))
+        cap = get_max_qubits()
+        set_max_qubits(3)
+        try:
+            with pytest.raises(ValueError, match="exceeds the configured cap"):
+                circuit.final_state()
+        finally:
+            set_max_qubits(cap)

@@ -69,6 +69,14 @@ class TestRun:
         assert out == ""
         assert "line 3" in err and "finite" in err
 
+    def test_qubit_count_above_cap_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.qc"
+        path.write_text("qubits 40\nh 0\nmeasure all\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "line 1:" in err and "exceeds" in err
+
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "/nonexistent/x.qc")
         assert code == 2

@@ -1,7 +1,9 @@
 """Tests for gate matrices, validation, and the tensor-view kernel."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from oracles import kron_embed, random_state_vector
 
 from qregsim import (
     CNOT,
+    Circuit,
     EXCHANGE,
     FREDKIN,
     HADAMARD,
@@ -28,6 +31,7 @@ from qregsim import (
     from_amplitudes,
     matrix_of,
     phase_shift,
+    gates,
 )
 
 PHI_SAMPLES = (0.0, math.pi / 7, math.pi / 2, math.pi)
@@ -44,6 +48,19 @@ def _random_unitary(arity, rng):
     dim = 1 << arity
     unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return unitary
+
+
+def _random_monomial(arity, rng):
+    """A permutation of a random subset of the basis rows, with random phases
+    on some rows: a unitary with one term per row and a varied cycle shape."""
+    dim = 1 << arity
+    perm = np.arange(dim)
+    moved = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
+    perm[moved] = rng.permutation(moved)
+    phases = np.where(rng.random(dim) < 0.3, np.exp(1j * rng.uniform(-math.pi, math.pi, dim)), 1)
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    matrix[np.arange(dim), perm] = phases
+    return matrix
 
 
 class TestMatrices:
@@ -254,3 +271,109 @@ class TestGateProperties:
             state = apply(state, GateApplication(gate, targets))
         norm = float(np.vdot(state.amplitudes, state.amplitudes).real)
         assert abs(norm - 1.0) < 1e-9
+
+
+class TestSequenceKernel:
+    """Circuit.final_state evolves one owned buffer, in place where it can."""
+
+    @pytest.mark.parametrize(
+        "gate,in_place",
+        [(NOT, False), (HADAMARD, False), (phase_shift(0.3), True), (CNOT, True),
+         (controlled_phase(0.3), True), (EXCHANGE, True), (TOFFOLI, True), (FREDKIN, True)],
+    )
+    def test_strategy_per_kind(self, gate, in_place):
+        assert gate._plan()[1] is in_place
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_final_state_bit_identical_to_folded_apply(self, data):
+        n = data.draw(st.integers(1, 6), label="num_qubits")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        kinds = [g for g in all_gate_kinds(phi=rng.uniform(-math.pi, math.pi)) if g.arity <= n]
+        for arity in range(1, min(n, 3) + 1):
+            kinds.append(custom_gate(arity, _random_unitary(arity, rng)))
+            kinds.append(custom_gate(arity, _random_monomial(arity, rng)))
+        steps = []
+        for _ in range(data.draw(st.integers(0, 16), label="length")):
+            gate = kinds[data.draw(st.integers(0, len(kinds) - 1))]
+            steps.append(GateApplication(gate, data.draw(st.permutations(range(n)))[: gate.arity]))
+        expected = basis_state(n, 0)
+        for step in steps:
+            expected = apply(expected, step)
+        got = Circuit(n, tuple(steps)).final_state()
+        assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("chunk_qubits", [1, 2, 3])
+    def test_chunked_kernel_bit_identical(self, monkeypatch, chunk_qubits):
+        """Registers wider than the chunk are walked chunk by chunk; the
+        arithmetic per amplitude does not change."""
+        rng = np.random.default_rng(46 + chunk_qubits)
+        n = 6
+        kinds = all_gate_kinds(phi=1.1) + [
+            custom_gate(a, f(a, rng)) for a in (1, 2, 3) for f in (_random_unitary, _random_monomial)
+        ]
+        steps = [GateApplication(g, tuple(int(q) for q in rng.permutation(n)[: g.arity]))
+                 for g in kinds for _ in range(3)]
+        start = from_amplitudes(n, random_state_vector(n, rng))
+        whole = [apply(start, step).amplitudes.tobytes() for step in steps]
+        expected = Circuit(n, tuple(steps)).final_state().amplitudes.tobytes()
+        monkeypatch.setattr(gates, "_CHUNK_QUBITS", chunk_qubits)
+        assert [apply(start, step).amplitudes.tobytes() for step in steps] == whole
+        assert Circuit(n, tuple(steps)).final_state().amplitudes.tobytes() == expected
+
+    def test_monomial_custom_gates_match_apply_and_embedding(self):
+        """Every parking pattern the planner meets, bit for bit against the
+        out-of-place apply and to rounding against the dense product."""
+        rng = np.random.default_rng(45)
+        n = 5
+        amps = random_state_vector(n, rng)
+        start = from_amplitudes(n, amps)
+        seen = set()
+        for _ in range(300):
+            arity = int(rng.integers(1, 5))
+            gate = custom_gate(arity, _random_monomial(arity, rng))
+            if gate._plan() is None:
+                continue
+            seen.add(gate._plan()[1])
+            step = GateApplication(gate, tuple(int(q) for q in rng.permutation(n)[:arity]))
+            got = gates._evolve(amps.copy(), n, [step]).amplitudes
+            assert got.tobytes() == apply(start, step).amplitudes.tobytes()
+            np.testing.assert_allclose(got, kron_embed(matrix_of(gate), step.targets, n) @ amps,
+                                       atol=1e-12)
+        assert seen == {True, False}
+
+    def test_result_owns_read_only_amplitudes_and_buffers_are_released(self, monkeypatch):
+        allocated = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                allocated.append(np.empty(*args, **kwargs))
+                return allocated[-1]
+
+            def empty_like(self, *args, **kwargs):
+                allocated.append(np.empty_like(*args, **kwargs))
+                return allocated[-1]
+
+        monkeypatch.setattr(gates, "np", RecordingNumpy())
+        steps = [GateApplication(g, tuple(range(g.arity))[::-1]) for g in all_gate_kinds()]
+        state = Circuit(4, tuple(steps + steps)).final_state()
+        buffers = [weakref.ref(a) for a in allocated]
+        assert len(buffers) == 2  # one spare, one scratch slice
+        allocated.clear()
+        gc.collect()
+        amps = state.amplitudes
+        assert amps.flags.owndata and not amps.flags.writeable
+        assert all(ref() is None or ref() is amps for ref in buffers)
+
+    def test_non_unitary_gate_fails_at_the_end_of_the_sequence(self):
+        doubling = Gate("double", 1, np.diag([2.0, 2.0]))
+        steps = (GateApplication(HADAMARD, (0,)), GateApplication(doubling, (1,)),
+                 GateApplication(CNOT, (0, 1)))
+        with pytest.raises(ValueError, match="not normalized"):
+            Circuit(2, steps).final_state()
+        with pytest.raises(ValueError, match="not normalized"):
+            apply(basis_state(2, 0), steps[1])

@@ -12,6 +12,7 @@ from oracles import (
     marginal_reference,
     project_reference,
     random_state_vector,
+    sample_counts_reference,
 )
 
 from qregsim import (
@@ -199,6 +200,23 @@ class TestSampleCounts:
             p = marginal(state, bits)
             bound = 5 * math.sqrt(max(p * (1 - p), 1e-12) / shots)
             assert abs(counts.get(assignment, 0) / shots - p) <= bound
+
+
+    @pytest.mark.parametrize("qubits", [None, [3], [0, 4, 2], [5, 1]])
+    def test_counts_equal_unsorted_reference(self, qubits):
+        """Sorting the draws changes the lookup order, not the outcomes."""
+        rng_np = np.random.default_rng(26)
+        for n, seed in ((6, 31), (6, 32), (7, 33)):
+            state = from_amplitudes(n, random_state_vector(n, rng_np))
+            if qubits is None:
+                distribution = state.probabilities()
+            else:
+                distribution = marginal_distribution(state, sorted(qubits))
+            rng = RandomSource(seed)
+            counts = sample_counts(state, 5_000, rng, qubits=qubits)
+            expected = sample_counts_reference(distribution, RandomSource(seed).uniforms(5_000))
+            assert counts == expected
+            assert rng.draw_count == 5_000
 
 
 class TestIsProduct:

@@ -67,6 +67,16 @@ class TestSubRegister:
         expected = np.kron([0, 1], dft_matrix(2) @ low.amplitudes)
         np.testing.assert_allclose(transformed.amplitudes, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("transform", [qft, inverse_qft])
+    @pytest.mark.parametrize("register", [[0, 2, 5], [4, 1], [3]])
+    def test_input_neither_mutated_nor_aliased(self, transform, register):
+        state = from_amplitudes(6, random_state_vector(6, np.random.default_rng(65)))
+        before = state.amplitudes.copy()
+        out = transform(state, register)
+        np.testing.assert_array_equal(state.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert out.amplitudes.flags.owndata and not out.amplitudes.flags.writeable
+
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):
             qft(basis_state(3, 0), qubits=[0, 0])

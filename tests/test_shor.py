@@ -8,6 +8,7 @@ from oracles import brute_force_order
 
 from qregsim import RandomSource
 from qregsim.algorithms import shor_factor, shor_period
+from qregsim.algorithms import shor
 from qregsim.algorithms.shor import _convergent_denominators
 
 
@@ -40,6 +41,21 @@ class TestShorPeriod:
                     continue
                 got = shor_period(a, mod_n, RandomSource(a))
                 assert got == brute_force_order(a, mod_n)
+
+    def test_register_built_once_per_call(self, monkeypatch):
+        built = []
+        original = shor._entangled_register
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(shor, "_entangled_register", counting)
+        # Base 4 mod 21 (order 3) needs several samples for some seeds.
+        for seed in range(6):
+            built.clear()
+            assert shor_period(4, 21, RandomSource(seed)) == 3
+            assert len(built) == 1
 
     def test_shared_factor_rejected(self):
         with pytest.raises(ValueError, match="gcd"):
