@@ -4,8 +4,9 @@ The quantum subroutine prepares (1/sqrt(2**t)) * sum_x |x>|a**x mod N>
 directly as amplitudes (gate-level modular arithmetic is out of scope),
 measures the function register, applies the inverse Fourier transform to
 the exponent register, and recovers the period from the measured value by
-continued fractions.  A classical wrapper reduces factoring to order
-finding in the usual way.
+continued fractions.  The function measurement leaves a product state, so
+the transform and the second measurement see only the t exponent qubits.
+A classical wrapper reduces factoring to order finding in the usual way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..measurement import RandomSource, measure_qubits
+from ..measurement import RandomSource, _draw_index, marginal_distribution, measure_qubits
 from ..state import QuantumState, get_max_qubits
 from .qft import inverse_qft
 
@@ -82,13 +83,18 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
             f"period finding for mod_n={mod_n} needs {t + m} qubits, "
             f"exceeding the cap of {get_max_qubits()}"
         )
-    exponent_register = list(range(m, m + t))
     register = _entangled_register(a, mod_n, t, m)
+    # Measuring the function register leaves |psi_f> (x) |f>, an exact
+    # product, so the transform and the exponent measurement run on the
+    # 2**t column of the observed f alone.
+    columns = register.amplitudes.reshape(1 << t, 1 << m)
+    function_marginal = marginal_distribution(register, range(m))
     for _ in range(PERIOD_RETRY_CAP):
-        state = measure_qubits(register, list(range(m)), rng).post_state
-        state = inverse_qft(state, exponent_register)
-        outcome = measure_qubits(state, exponent_register, rng)
-        y = sum(bit << j for j, (q, bit) in enumerate(sorted(outcome.measured_bits.items())))
+        f = _draw_index(function_marginal, rng.uniform())
+        column = columns[:, f]
+        exponent = QuantumState(t, column / np.linalg.norm(column), copy=False)
+        outcome = measure_qubits(inverse_qft(exponent), range(t), rng)
+        y = sum(bit << q for q, bit in outcome.measured_bits.items())
         for r in _convergent_denominators(y, 1 << t, mod_n):
             if pow(a, r, mod_n) == 1:
                 return _minimal_order(r, a, mod_n)

@@ -1,6 +1,8 @@
 """Gate programs: a line-oriented text format and multi-shot execution.
 
-Circuit file grammar (UTF-8, one instruction per line, ``#`` comments)::
+Circuit file grammar (UTF-8, one instruction per line, ``#`` comments;
+lines end at LF, CRLF or CR as in a text-mode file, and other Unicode
+separators such as form feed count as whitespace)::
 
     qubits 2
     h 1
@@ -16,6 +18,7 @@ qubits first, and ``phase``/``cphase`` take a trailing finite angle in radians
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,7 @@ _FIXED_GATES = {
     "fredkin": gates.FREDKIN,
 }
 _PHASE_GATES = {"phase": gates.phase_shift, "cphase": gates.controlled_phase}
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 _ARITY = {"id": 1, "x": 1, "h": 1, "phase": 1, "cnot": 2, "cphase": 2,
           "swap": 2, "toffoli": 3, "fredkin": 3}
 
@@ -126,7 +130,7 @@ def parse(text: str) -> Circuit:
     terminal: tuple[int, ...] | None = None
     saw_measure = False
 
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

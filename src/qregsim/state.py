@@ -30,7 +30,10 @@ def get_max_qubits() -> int:
 
 
 def set_max_qubits(cap: int) -> None:
-    """Change the register-width cap (must be a positive integer)."""
+    """Change the register-width cap (must be a positive integer).
+
+    The cap is process-global, not per thread: set it once at startup.
+    """
     global _max_qubits
     if not isinstance(cap, int) or cap < 1:
         raise ValueError(f"qubit cap must be a positive integer, got {cap!r}")

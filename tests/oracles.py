@@ -5,8 +5,9 @@ library code: gate embeddings go through an explicit Kronecker product and
 basis permutation, the Fourier matrix through direct summation, orders
 through exhaustive exponentiation, marginals, projections and product
 checks through bit masks over every basis index, amplitude
-amplification through one full-vector pass per reflection, and shot
-sampling through unsorted lookups.
+amplification through one full-vector pass per reflection, shot
+sampling through unsorted lookups, and period finding through the whole
+exponent-and-function register.
 """
 
 from __future__ import annotations
@@ -14,6 +15,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from qregsim.algorithms.qft import inverse_qft
+from qregsim.algorithms.shor import (
+    PERIOD_RETRY_CAP,
+    RetryLimitExceeded,
+    _convergent_denominators,
+    _entangled_register,
+    _minimal_order,
+)
+from qregsim.measurement import measure_qubits
 
 
 def kron_embed(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
@@ -115,6 +126,29 @@ def sample_counts_reference(distribution: np.ndarray, uniforms: np.ndarray) -> d
     outcomes = np.searchsorted(cum, uniforms, side="right")
     values, freq = np.unique(outcomes, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
+
+
+def shor_period_reference(a: int, mod_n: int, rng) -> tuple[int, list[int]]:
+    """Order of ``a`` mod ``mod_n`` and every measured exponent ``y``, in order.
+
+    Each sample collapses the function register, then runs the inverse
+    transform and the exponent measurement on all t+m qubits.
+    """
+    m = (mod_n - 1).bit_length()
+    t = (mod_n * mod_n - 1).bit_length()
+    exponent_register = list(range(m, m + t))
+    register = _entangled_register(a, mod_n, t, m)
+    measured = []
+    for _ in range(PERIOD_RETRY_CAP):
+        state = measure_qubits(register, list(range(m)), rng).post_state
+        state = inverse_qft(state, exponent_register)
+        outcome = measure_qubits(state, exponent_register, rng)
+        y = sum(bit << j for j, (q, bit) in enumerate(sorted(outcome.measured_bits.items())))
+        measured.append(y)
+        for r in _convergent_denominators(y, 1 << t, mod_n):
+            if pow(a, r, mod_n) == 1:
+                return _minimal_order(r, a, mod_n), measured
+    raise RetryLimitExceeded(f"no period found for a={a} mod {mod_n}")
 
 
 def chi_square_statistic(counts: np.ndarray, expected: float) -> float:

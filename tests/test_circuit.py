@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qregsim import (
     CNOT,
@@ -78,6 +80,23 @@ class TestParse:
         with pytest.raises(CircuitParseError, match="line 3"):
             parse_circuit("qubits 2\nmeasure all\nh 0\n")
 
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_line(self, separator):
+        # A text-mode file and an editor show these characters mid-line.
+        with pytest.raises(CircuitParseError, match="line 1: 'qubits' takes exactly one") as info:
+            parse_circuit(f"qubits 2{separator}foo 1")
+        assert info.value.line_number == 1
+        with pytest.raises(CircuitParseError, match="line 3: qubit 7 out of range"):
+            parse_circuit(f"qubits 2\nh 0{separator}\nh 7\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings_counted_like_text_mode(self, newline):
+        text = newline.join(["qubits 2", "", "h 0", "foo 1", ""])
+        with pytest.raises(CircuitParseError, match="line 4: unknown mnemonic 'foo'"):
+            parse_circuit(text)
+
     def test_bad_phase_literal(self):
         with pytest.raises(CircuitParseError, match="angle"):
             parse_circuit("qubits 1\nphase 0 pi\n")
@@ -118,12 +137,51 @@ class TestSerialize:
             circuit = _random_circuit(rng)
             assert parse_circuit(serialize_circuit(circuit)) == circuit
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip_property(self, seed):
+        circuit = _random_circuit(np.random.default_rng(seed))
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+
     def test_custom_gate_has_no_mnemonic(self):
         from qregsim import custom_gate
 
         circuit = Circuit(1, (GateApplication(custom_gate(1, np.eye(2)), (0,)),))
         with pytest.raises(ValueError, match="custom"):
             serialize_circuit(circuit)
+
+
+_FUZZ_TOKENS = st.sampled_from(
+    sorted(circuit_mod._ARITY)
+    + ["qubits", "measure", "all", "#", "0", "1", "2", "3", "-1", "40", "1e400",
+       "nan", "-inf", "0.5", "x1", "٣", "1_0", "\x0c", "\u2028", "\r", "\n", "\r\n"]
+)
+
+
+class TestParserFuzz:
+    """Any text parses to a Circuit or fails with a CircuitParseError."""
+
+    @staticmethod
+    def _parse_or_error(text):
+        try:
+            return parse_circuit(text)
+        except CircuitParseError as exc:
+            assert exc.line_number >= 1
+            return exc
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        self._parse_or_error(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_FUZZ_TOKENS, max_size=6), max_size=8))
+    def test_token_soup(self, lines):
+        body = "\n".join(" ".join(tokens) for tokens in lines)
+        self._parse_or_error(body)
+        circuit = self._parse_or_error("qubits 4\n" + body)
+        if isinstance(circuit, Circuit):
+            assert parse_circuit(serialize_circuit(circuit)) == circuit
 
 
 class TestRun:

@@ -89,6 +89,22 @@ class TestRun:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (b"qubits 2\x0cfoo 1\n", 1),
+            ("qubits 2\u2028h 0\n".encode(), 1),
+            (b"qubits 2\r\nh 0\rfoo 1\n", 3),
+        ],
+    )
+    def test_parse_error_line_matches_the_file(self, capsys, tmp_path, body, line):
+        path = tmp_path / "bad.qc"
+        path.write_bytes(body)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"line {line}:" in err
+
 
 class TestAlgorithms:
     def test_qrng_reproducible(self, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dft_matrix, random_state_vector
 
@@ -76,6 +78,26 @@ class TestSubRegister:
         np.testing.assert_array_equal(state.amplitudes, before)
         assert not np.shares_memory(out.amplitudes, state.amplitudes)
         assert out.amplitudes.flags.owndata and not out.amplitudes.flags.writeable
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_inverse_undoes_forward_on_any_sub_register(self, data):
+        n = data.draw(st.integers(1, 7), label="num_qubits")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        register = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="register",
+        )
+        state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(seed)))
+        transformed = qft(state, register)
+        np.testing.assert_allclose(
+            inverse_qft(transformed, register).amplitudes, state.amplitudes, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            qft(inverse_qft(state, register), register).amplitudes,
+            state.amplitudes,
+            atol=1e-10,
+        )
 
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):

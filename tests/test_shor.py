@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from oracles import brute_force_order
+from oracles import brute_force_order, shor_period_reference
 
-from qregsim import RandomSource
+from qregsim import RandomSource, is_product, measure_qubits
 from qregsim.algorithms import shor_factor, shor_period
 from qregsim.algorithms import shor
 from qregsim.algorithms.shor import _convergent_denominators
@@ -64,6 +65,57 @@ class TestShorPeriod:
     def test_base_range_validated(self):
         with pytest.raises(ValueError):
             shor_period(1, 15, RandomSource(0))
+
+
+def _recorded_exponents(monkeypatch) -> list[int]:
+    """Every measured exponent ``shor_period`` hands to continued fractions."""
+    measured = []
+    original = shor._convergent_denominators
+
+    def recording(y, denominator, bound):
+        measured.append(y)
+        return original(y, denominator, bound)
+
+    monkeypatch.setattr(shor, "_convergent_denominators", recording)
+    return measured
+
+
+class TestExponentRegisterOnly:
+    @pytest.mark.parametrize("mod_n", [15, 21, 33, 35])
+    def test_matches_full_register_reference(self, monkeypatch, mod_n):
+        bases = [a for a in range(2, mod_n) if math.gcd(a, mod_n) == 1]
+        measured = _recorded_exponents(monkeypatch)
+        retried = 0
+        for seed in range(30):
+            a = bases[seed % len(bases)]
+            reference_rng, rng = RandomSource(seed), RandomSource(seed)
+            expected, expected_ys = shor_period_reference(a, mod_n, reference_rng)
+            measured.clear()
+            assert shor_period(a, mod_n, rng) == expected
+            assert measured == expected_ys
+            assert rng.draw_count == reference_rng.draw_count
+            retried += len(expected_ys) > 1
+        assert retried > 0  # the draw order across retries is exercised
+
+    @pytest.mark.parametrize("a,mod_n", [(7, 15), (2, 21), (5, 33), (3, 35)])
+    def test_function_measurement_leaves_a_product(self, a, mod_n):
+        m = (mod_n - 1).bit_length()
+        t = (mod_n * mod_n - 1).bit_length()
+        register = shor._entangled_register(a, mod_n, t, m)
+        columns = register.amplitudes.reshape(1 << t, 1 << m)
+        for seed in range(5):
+            outcome = measure_qubits(register, range(m), RandomSource(seed))
+            post = outcome.post_state
+            assert is_product(post, range(m, m + t))
+            f = sum(bit << q for q, bit in outcome.measured_bits.items())
+            kept = post.amplitudes.reshape(1 << t, 1 << m)
+            expected = columns[:, f] / np.linalg.norm(columns[:, f])
+            np.testing.assert_array_equal(kept[:, f], expected)
+            assert not np.delete(kept, f, axis=1).any()
+
+    def test_modulus_143(self):
+        # 23 qubits in the register; only the 15 exponent qubits are transformed.
+        assert shor_period(2, 143, RandomSource(1)) == 60
 
 
 class TestShorFactor:
