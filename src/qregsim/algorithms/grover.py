@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..measurement import RandomSource, measure_all
-from ..state import QuantumState, basis_state  # noqa: F401  (bound by perfbench/tracing.py)
+from ..state import QuantumState, _check_num_qubits
+from ..state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,12 @@ class Oracle:
     def marked_indices(self) -> np.ndarray:
         """All marked basis indices in ascending order (read-only array).
 
-        Enumerates the predicate over every index on the first call only.
+        Enumerates the predicate over every index on the first call only,
+        after checking ``num_qubits`` against the register cap.
         """
         marked = self.__dict__.get("_marked")
         if marked is None:
+            _check_num_qubits(self.num_qubits)
             marked = np.fromiter(
                 filter(self.predicate, range(1 << self.num_qubits)), dtype=np.intp
             )
@@ -117,9 +120,9 @@ def amplified_state(oracle: Oracle, marked_count: int) -> tuple[QuantumState, in
     ``marked_count`` must equal the oracle's enumerated count; raises
     ValueError otherwise or when nothing is marked.
     """
+    marked = oracle.marked_indices()
     n = oracle.num_qubits
     total = 1 << n
-    marked = oracle.marked_indices()
     if marked_count < 1:
         raise ValueError("marked_count must be >= 1: nothing to find")
     if marked_count > total:

@@ -113,6 +113,7 @@ def _cmd_qrng(args) -> int:
 
 
 def _cmd_grover(args) -> int:
+    state_mod._check_num_qubits(args.qubits)
     targets = set(args.target)
     for t in targets:
         if not 0 <= t < (1 << args.qubits):
@@ -142,6 +143,7 @@ def _cmd_grover(args) -> int:
 
 def _cmd_qft_demo(args) -> int:
     n = args.qubits
+    state_mod._check_num_qubits(n)  # before the comb is allocated
     dim = 1 << n
     if not 1 <= args.period <= dim:
         raise ValueError(f"period must be between 1 and {dim}, got {args.period}")

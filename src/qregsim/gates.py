@@ -7,8 +7,11 @@ significant bit of the matrix row/column index, so CNOT with targets
 [0,0,1,0]]``.  Applying a gate never materializes the full 2**n x 2**n
 operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
 output slice of the target axes sums input slices weighted by a matrix row.
-A gate sequence evolves one buffer it owns, in place where the gate allows,
-and validates the state once at the end.
+The kernel keeps that axis order but merges each run of adjacent non-target
+axes into one dimension, with the view's shape, transpose and chunk walk
+computed once per target tuple and register width.  A gate sequence evolves
+one buffer it owns, in place where the gate allows, and validates the state
+once at the end.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import cmath
 import itertools
 import math
 from collections.abc import Sequence
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,6 +233,60 @@ class GateApplication:
         return f"GateApplication({self.gate!r}, targets={self.targets})"
 
 
+class _Layout(NamedTuple):
+    """How ``_update`` views a register for one target tuple.
+
+    ``shape`` is the ``[2]*n`` register view (qubit ``q`` on axis ``n-1-q``)
+    with each run of adjacent non-target axes on the same side of the chunk
+    boundary merged into one dimension; a target axis stays one dimension of
+    size 2.  ``order`` transposes it to the outer (chunk) dimensions, the
+    target axes in gate order, then the inner dimensions.  ``chunks`` indexes
+    every chunk of the outer dimensions, and ``scratch_shape`` and
+    ``scratch_size`` are those of one row slice of one chunk.
+    """
+
+    shape: tuple[int, ...]
+    order: tuple[int, ...]
+    chunks: tuple[tuple[int, ...], ...]
+    scratch_shape: tuple[int, ...]
+    scratch_size: int
+
+
+# A layout holds one index tuple per chunk: about 170 KB for a one-qubit
+# gate at 26 qubits, so a full cache stays far below one such state.
+@lru_cache(maxsize=256)
+def _layout(targets: tuple[int, ...], num_qubits: int, chunk_qubits: int) -> _Layout:
+    """The view of a ``num_qubits`` register for a gate on ``targets``.
+
+    Non-target axes above the lowest ``chunk_qubits`` of them are outer.
+    The chunk size is part of the key, so a changed ``_CHUNK_QUBITS`` gets
+    its own layout.
+    """
+    axes = [num_qubits - 1 - q for q in targets]
+    rest = [a for a in range(num_qubits) if a not in axes]
+    outer = set(rest[: max(0, len(rest) - chunk_qubits)])
+    shape: list[int] = []
+    target_dims: dict[int, int] = {}
+    outer_dims: list[int] = []
+    inner_dims: list[int] = []
+    run = None  # whether the current run of non-target axes is outer
+    for axis in range(num_qubits):
+        if axis in axes:
+            target_dims[axis] = len(shape)
+            shape.append(2)
+            run = None
+        elif run == (axis in outer):
+            shape[-1] *= 2
+        else:
+            run = axis in outer
+            (outer_dims if run else inner_dims).append(len(shape))
+            shape.append(2)
+    order = outer_dims + [target_dims[a] for a in axes] + inner_dims
+    chunks = tuple(itertools.product(*(range(shape[d]) for d in outer_dims)))
+    scratch_shape = tuple(shape[d] for d in inner_dims)
+    return _Layout(tuple(shape), tuple(order), chunks, scratch_shape, math.prod(scratch_shape))
+
+
 def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None:
     """Write one gate plan applied to ``source`` into ``out``, unvalidated.
 
@@ -236,34 +295,34 @@ def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None
     is another buffer, or ``source`` itself for an in-place plan: identity
     rows are then skipped and parked rows read back from ``scratch``.
     ``scratch`` holds ``_scratch_size(n)`` amplitudes, or is None when the
-    plan needs none.  Non-target axes above the lowest ``_CHUNK_QUBITS`` are
-    walked one index at a time, so the passes over one chunk's slices run in
-    cache instead of streaming the whole state once per pass.
+    plan needs none.  The view comes from ``_layout``: qubit ``q`` stays on
+    axis ``n-1-q``, but runs of adjacent non-target axes are merged, so each
+    slice has at most one dimension per run instead of one per qubit.
+    Non-target axes above the lowest ``_CHUNK_QUBITS`` are walked one chunk
+    at a time, so the passes over one chunk's slices run in cache instead of
+    streaming the whole state once per pass.
     """
-    n = source.size.bit_length() - 1
-    axes = [n - 1 - q for q in targets]
-    rest = [a for a in range(n) if a not in axes]
-    outer = rest[: max(0, len(rest) - _CHUNK_QUBITS)]
-    order = outer + axes + rest[len(outer):]
-    src = source.reshape((2,) * n).transpose(order)
-    view = out.reshape((2,) * n).transpose(order)
-    inner = len(rest) - len(outer)
-    tmp = None if scratch is None else scratch[: 1 << inner].reshape((2,) * inner)
-    for chunk in itertools.product((0, 1), repeat=len(outer)):
+    layout = _layout(targets, source.size.bit_length() - 1, _CHUNK_QUBITS)
+    in_place = out is source
+    src = source.reshape(layout.shape).transpose(layout.order)
+    view = src if in_place else out.reshape(layout.shape).transpose(layout.order)
+    tmp = None
+    if scratch is not None:
+        tmp = scratch[: layout.scratch_size].reshape(layout.scratch_shape)
+    for chunk in layout.chunks:
         chunk_src, chunk_out = src[chunk], view[chunk]
         parked = None
         for r, terms, park in rows:
+            if in_place and terms == [(r, 1)]:
+                continue
             dst = chunk_out[r]
-            if out is source:
-                if terms == [(r, 1)]:
-                    continue
-                if park:
-                    tmp[...] = dst
-                    parked = r
+            if in_place and park:
+                tmp[...] = dst
+                parked = r
             for j, (c, u) in enumerate(terms):
                 part = tmp if c == parked else chunk_src[c]
                 if j == 0:
-                    if u == 1 and part is not tmp and out is source:
+                    if u == 1 and part is not tmp and in_place:
                         # Slice assignment between interleaved views of one
                         # buffer goes through a slice-sized temporary; a
                         # ufunc copy does not.
@@ -279,7 +338,9 @@ def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None
 
 
 def _scratch_size(num_qubits: int) -> int:
-    """Amplitudes in the scratch slice: one row slice of one chunk."""
+    """Amplitudes in the scratch slice: one row slice of one chunk for a
+    one-qubit gate, the largest ``_Layout.scratch_size`` of any gate.  The
+    slice is reshaped to the merged inner dimensions of each step."""
     return 1 << min(num_qubits - 1, _CHUNK_QUBITS)
 
 

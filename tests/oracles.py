@@ -6,16 +6,19 @@ basis permutation, the Fourier matrix through direct summation, orders
 through exhaustive exponentiation, marginals, projections and product
 checks through bit masks over every basis index, amplitude
 amplification through one full-vector pass per reflection, shot
-sampling through unsorted lookups, and period finding through the whole
-exponent-and-function register.
+sampling through unsorted lookups, period finding through the whole
+exponent-and-function register, and the gate kernel through one ``[2]``
+dimension per qubit with its axis lists rebuilt on every call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from qregsim import gates
 from qregsim.algorithms.qft import inverse_qft
 from qregsim.algorithms.shor import (
     PERIOD_RETRY_CAP,
@@ -149,6 +152,48 @@ def shor_period_reference(a: int, mod_n: int, rng) -> tuple[int, list[int]]:
             if pow(a, r, mod_n) == 1:
                 return _minimal_order(r, a, mod_n), measured
     raise RetryLimitExceeded(f"no period found for a={a} mod {mod_n}")
+
+
+def update_reference(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None:
+    """``gates._update`` on the unmerged ``[2]*n`` view, one axis per qubit.
+
+    Same plan rows, chunk boundary (``gates._CHUNK_QUBITS``, read per call)
+    and per-row ufunc sequence; the axis lists, the transposes and the
+    chunk walk are rebuilt on every call.
+    """
+    n = source.size.bit_length() - 1
+    axes = [n - 1 - q for q in targets]
+    rest = [a for a in range(n) if a not in axes]
+    outer = rest[: max(0, len(rest) - gates._CHUNK_QUBITS)]
+    order = outer + axes + rest[len(outer):]
+    src = source.reshape((2,) * n).transpose(order)
+    view = out.reshape((2,) * n).transpose(order)
+    inner = len(rest) - len(outer)
+    tmp = None if scratch is None else scratch[: 1 << inner].reshape((2,) * inner)
+    for chunk in itertools.product((0, 1), repeat=len(outer)):
+        chunk_src, chunk_out = src[chunk], view[chunk]
+        parked = None
+        for r, terms, park in rows:
+            dst = chunk_out[r]
+            if out is source:
+                if terms == [(r, 1)]:
+                    continue
+                if park:
+                    tmp[...] = dst
+                    parked = r
+            for j, (c, u) in enumerate(terms):
+                part = tmp if c == parked else chunk_src[c]
+                if j == 0:
+                    if u == 1 and part is not tmp and out is source:
+                        np.positive(part, out=dst)
+                    elif u == 1:
+                        dst[...] = part
+                    else:
+                        np.multiply(part, u, out=dst)
+                elif u == 1:
+                    dst += part
+                else:
+                    dst += np.multiply(u, part, out=tmp)
 
 
 def chi_square_statistic(counts: np.ndarray, expected: float) -> float:

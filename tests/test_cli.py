@@ -139,6 +139,23 @@ class TestAlgorithms:
         assert payload["iterations"] == 2
         assert payload["bitstring"] == format(payload["outcome"], "03b")
 
+    @pytest.mark.parametrize("qubits,message", [("40", "exceeds the configured cap"),
+                                                ("-1", "positive integer")])
+    def test_grover_register_width_is_runtime_error(self, capsys, qubits, message):
+        code, out, err = run_cli(capsys, "grover", "--qubits", qubits, "--target", "1",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("qubits,message", [("62", "exceeds the configured cap"),
+                                                ("0", "positive integer")])
+    def test_qft_demo_register_width_checked_before_allocating(self, capsys, qubits, message):
+        code, out, err = run_cli(capsys, "qft-demo", "--qubits", qubits, "--period", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_qft_demo_period_two(self, capsys):
         code, out, _ = run_cli(capsys, "qft-demo", "--qubits", "3", "--period", "2")
         assert code == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_embed, random_state_vector
+from oracles import kron_embed, random_state_vector, update_reference
 
 from qregsim import (
     CNOT,
@@ -33,6 +33,7 @@ from qregsim import (
     phase_shift,
     gates,
 )
+from qregsim.algorithms import inverse_qft, qft
 
 PHI_SAMPLES = (0.0, math.pi / 7, math.pi / 2, math.pi)
 
@@ -377,3 +378,83 @@ class TestSequenceKernel:
             Circuit(2, steps).final_state()
         with pytest.raises(ValueError, match="not normalized"):
             apply(basis_state(2, 0), steps[1])
+
+
+class TestKernelAgainstReference:
+    """The merged-layout kernel against the per-axis one in tests/oracles.py."""
+
+    @pytest.mark.parametrize("chunk_qubits", [1, 2, 3, None])
+    def test_every_kind_and_ordered_targets_bit_identical(self, monkeypatch, chunk_qubits):
+        if chunk_qubits is not None:
+            monkeypatch.setattr(gates, "_CHUNK_QUBITS", chunk_qubits)
+        rng = np.random.default_rng(70 + (chunk_qubits or 0))
+        kinds = all_gate_kinds(phi=0.9) + [
+            custom_gate(a, f(a, rng)) for a in (1, 2, 3) for f in (_random_unitary, _random_monomial)
+        ]
+        for n in range(1, 6):
+            amps = random_state_vector(n, rng)
+            scratch = np.empty(gates._scratch_size(n), dtype=np.complex128)
+            for gate in kinds:
+                if gate._plan() is None:
+                    continue
+                rows, in_place, _ = gate._plan()
+                for targets in itertools.permutations(range(n), gate.arity):
+                    got, want = np.empty_like(amps), np.empty_like(amps)
+                    gates._update(rows, targets, amps, got, scratch)
+                    update_reference(rows, targets, amps, want, scratch)
+                    assert got.tobytes() == want.tobytes(), (n, targets)
+                    if in_place:
+                        got, want = amps.copy(), amps.copy()
+                        gates._update(rows, targets, got, got, scratch)
+                        update_reference(rows, targets, want, want, scratch)
+                        assert got.tobytes() == want.tobytes(), (n, targets)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_qft_ladders_bit_identical(self, monkeypatch, n):
+        rng = np.random.default_rng(80 + n)
+        state = from_amplitudes(n, random_state_vector(n, rng))
+        sub = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        transforms = [f(state, qubits) for f in (qft, inverse_qft) for qubits in (None, sub)]
+        monkeypatch.setattr(gates, "_update", update_reference)
+        expected = [f(state, qubits) for f in (qft, inverse_qft) for qubits in (None, sub)]
+        for got, want in zip(transforms, expected):
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+class TestLayout:
+    @pytest.mark.parametrize("chunk_qubits,chunks", [(None, 1), (1, 2**4)])
+    def test_chunk_count_follows_the_chunk_size(self, monkeypatch, chunk_qubits, chunks):
+        if chunk_qubits is not None:
+            monkeypatch.setattr(gates, "_CHUNK_QUBITS", chunk_qubits)
+        used = []
+        layout = gates._layout
+
+        def recording_layout(*key):
+            used.append(layout(*key))
+            return used[-1]
+
+        monkeypatch.setattr(gates, "_layout", recording_layout)
+        amps = random_state_vector(6, np.random.default_rng(90))
+        gates._update(NOT._plan()[0], (2,), amps, np.empty_like(amps), None)
+        assert [len(u.chunks) for u in used] == [chunks]
+
+    def test_repeated_transform_adds_no_layout(self):
+        state = from_amplitudes(5, random_state_vector(5, np.random.default_rng(91)))
+        inverse_qft(state, [0, 2, 3])
+        misses = gates._layout.cache_info().misses
+        inverse_qft(state, [0, 2, 3])
+        assert gates._layout.cache_info().misses == misses
+
+    @pytest.mark.parametrize("chunk_qubits", [1, 2, 3, gates._CHUNK_QUBITS])
+    def test_merged_dimensions_are_bounded(self, chunk_qubits):
+        """Targets split the other axes into at most k+1 runs: 2k+1
+        dimensions per chunk, one more when the chunk boundary splits a run."""
+        for n in range(1, 9):
+            for k in range(1, min(n, 3) + 1):
+                for targets in itertools.permutations(range(n), k):
+                    layout = gates._layout(targets, n, chunk_qubits)
+                    outer = len(layout.chunks[0])
+                    assert math.prod(layout.shape) == 2**n
+                    assert len(layout.shape) - outer <= 2 * k + 1
+                    assert len(layout.shape) <= 2 * k + (2 if outer else 1)
+                    assert sorted(layout.order) == list(range(len(layout.shape)))

@@ -44,6 +44,17 @@ class TestOracleEnumeration:
         np.testing.assert_array_equal(oracle.marked_indices(), [3, 77])
         assert sorted(calls) == list(range(128))
 
+    @pytest.mark.parametrize("n,message", [(40, "exceeds the configured cap"),
+                                           (-1, "positive integer"), (0, "positive integer")])
+    def test_register_width_checked_before_enumerating(self, n, message):
+        calls = []
+        oracle = Oracle(n, calls.append)
+        with pytest.raises(ValueError, match=message):
+            oracle.marked_indices()
+        with pytest.raises(ValueError, match=message):
+            grover_search(oracle, 1, RandomSource(0))
+        assert calls == []
+
     def test_marked_indices_read_only(self):
         marked = Oracle(4, lambda i: i % 3 == 0).marked_indices()
         assert not marked.flags.writeable
