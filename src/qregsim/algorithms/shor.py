@@ -65,6 +65,18 @@ def _entangled_register(a: int, mod_n: int, t: int, m: int) -> QuantumState:
     return QuantumState(t + m, amps, copy=False)
 
 
+def _register_widths(mod_n: int) -> tuple[int, int]:
+    """Exponent and function register widths (t, m) for ``mod_n``, within the cap."""
+    m = (mod_n - 1).bit_length()
+    t = (mod_n * mod_n - 1).bit_length()
+    if t + m > get_max_qubits():
+        raise ValueError(
+            f"period finding for mod_n={mod_n} needs {t + m} qubits, "
+            f"exceeding the cap of {get_max_qubits()}"
+        )
+    return t, m
+
+
 def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
     """The multiplicative order of ``a`` modulo ``mod_n``.
 
@@ -76,13 +88,7 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
         raise ValueError(f"base must satisfy 2 <= a < mod_n, got a={a}, mod_n={mod_n}")
     if math.gcd(a, mod_n) != 1:
         raise ValueError(f"gcd({a}, {mod_n}) != 1: base shares a factor with the modulus")
-    m = (mod_n - 1).bit_length()
-    t = (mod_n * mod_n - 1).bit_length()
-    if t + m > get_max_qubits():
-        raise ValueError(
-            f"period finding for mod_n={mod_n} needs {t + m} qubits, "
-            f"exceeding the cap of {get_max_qubits()}"
-        )
+    t, m = _register_widths(mod_n)
     register = _entangled_register(a, mod_n, t, m)
     # Measuring the function register leaves |psi_f> (x) |f>, an exact
     # product, so the transform and the exponent measurement run on the
@@ -129,6 +135,9 @@ def shor_factor(mod_n: int, rng: RandomSource) -> tuple[int, int]:
     """
     if mod_n < 3 or mod_n % 2 == 0:
         raise ValueError(f"mod_n must be an odd integer >= 3, got {mod_n}")
+    # Before the primality tests, which take too long or overflow on
+    # moduli far beyond the cap.
+    _register_widths(mod_n)
     if _is_prime(mod_n):
         raise ValueError(f"{mod_n} is prime; nothing to factor")
     if _prime_power_root(mod_n) is not None:

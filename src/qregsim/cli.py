@@ -4,15 +4,28 @@ Every stochastic subcommand takes ``--seed``; when omitted, a fresh seed is
 drawn and printed, so any report can be regenerated bit-identically from
 its printed seed and parameters.  Exit codes: 0 success, 1 usage error,
 2 runtime/precondition error.
+
+Each subcommand builds one report, a JSON document and its text lines, and
+``main`` prints it in the chosen ``--format``; the long text bodies of
+``run`` and ``qft-demo`` are generated only when printed.  Text starts with ``#``
+header lines (``# key value``; floats as ``.6g``, lists space-separated),
+then the result lines: ``BITSTRING COUNT PROB`` by descending count for
+``run``, ``BITSTRING PROB`` for ``qft-demo``, ``POSITION PROB`` and a
+``# sigma_quantum``/``# sigma_classical`` footer for ``walk``, and one
+line otherwise: the value, bit string or pattern found, or ``N = p × q``.
+JSON is one document per run, readable by any generic parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
 import secrets
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import circuit as circuit_mod
 from . import state as state_mod
@@ -29,7 +42,6 @@ from .algorithms import (
     quantum_walk_line,
     shor_factor,
 )
-from .circuit import CircuitParseError, RunResult
 from .measurement import SEED_LIMIT, RandomSource
 from .state import from_amplitudes
 
@@ -50,69 +62,50 @@ def _fresh_seed() -> int:
     return secrets.randbits(63)
 
 
-def format_report(result, fmt: str = "text") -> str:
-    """Render a RunResult or an algorithm payload dict as text or JSON.
-
-    Text histograms follow ``BITSTRING COUNT PROB`` sorted by descending
-    count, preceded by ``#``-prefixed parameter lines; JSON is a single
-    document round-trippable by any generic parser.
-    """
-    if isinstance(result, RunResult):
-        if fmt == "json":
-            counts = {
-                result.bitstring(outcome): count
-                for outcome, count in sorted(result.counts.items())
-            }
-            return json.dumps(
-                {"shots": result.shots, "seed": result.seed, "counts": counts}
-            )
-        lines = [f"# shots {result.shots}", f"# seed {result.seed}"]
-        ordered = sorted(result.counts.items(), key=lambda item: (-item[1], item[0]))
-        for outcome, count in ordered:
-            lines.append(
-                f"{result.bitstring(outcome)} {count} {count / result.shots:.6g}"
-            )
-        return "\n".join(lines)
-
-    if fmt == "json":
-        return json.dumps(result)
+def _header(doc: dict, *keys: str) -> list[str]:
+    """``# key value`` lines for ``keys`` of ``doc``: floats as ``.6g``, lists space-separated."""
     lines = []
-    for key, value in result.items():
-        if key == "table":
-            lines.extend(f"{row[0]} {row[1]:.6g}" for row in value)
-        else:
-            rendered = f"{value:.6g}" if isinstance(value, float) else value
-            lines.append(f"# {key} {rendered}")
-    return "\n".join(lines)
+    for key in keys:
+        value = doc[key]
+        if isinstance(value, float):
+            value = f"{value:.6g}"
+        elif isinstance(value, list):
+            value = " ".join(map(str, value))
+        lines.append(f"# {key} {value}")
+    return lines
 
 
-def _cmd_run(args) -> int:
+def _read(path: str) -> str:
     try:
-        with open(args.circuit, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
-        print(f"error: cannot read {args.circuit}: {exc.strerror}", file=sys.stderr)
-        return RUNTIME_ERROR
-    parsed = circuit_mod.parse(text)
-    result = circuit_mod.run(parsed, args.shots, args.seed)
-    print(format_report(result, args.format))
-    return 0
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _cmd_qrng(args) -> int:
+def _histogram(doc: dict) -> Iterator[str]:
+    """Text lines of a ``run`` report, sorted and formatted only when printed."""
+    yield from _header(doc, "shots", "seed")
+    # ``counts`` is in ascending bitstring order and a reversed sort is
+    # still stable, so equal counts keep that order.
+    for bits, count in sorted(doc["counts"].items(), key=operator.itemgetter(1), reverse=True):
+        yield f"{bits} {count} {count / doc['shots']:.6g}"
+
+
+def _cmd_run(args) -> tuple[dict, Iterable[str]]:
+    result = circuit_mod.run(circuit_mod.parse(_read(args.circuit)), args.shots, args.seed)
+    counts = {result.bitstring(o): c for o, c in sorted(result.counts.items())}
+    doc = {"shots": result.shots, "seed": result.seed, "counts": counts}
+    return doc, _histogram(doc)
+
+
+def _cmd_qrng(args) -> tuple[dict, Iterable[str]]:
     value = qrng(args.bits, args.chunk, RandomSource(args.seed))
-    payload = {"bits": args.bits, "chunk": args.chunk, "value": value, "seed": args.seed}
-    if args.format == "json":
-        print(format_report(payload, "json"))
-    else:
-        print(f"# bits {args.bits}")
-        print(f"# chunk {args.chunk}")
-        print(f"# seed {args.seed}")
-        print(value)
-    return 0
+    doc = {"bits": args.bits, "chunk": args.chunk, "value": value, "seed": args.seed}
+    return doc, _header(doc, "bits", "chunk", "seed") + [str(value)]
 
 
-def _cmd_grover(args) -> int:
+def _cmd_grover(args) -> tuple[dict, Iterable[str]]:
     state_mod._check_num_qubits(args.qubits)
     targets = set(args.target)
     for t in targets:
@@ -120,7 +113,7 @@ def _cmd_grover(args) -> int:
             raise ValueError(f"target index {t} out of range for {args.qubits} qubits")
     oracle = Oracle(args.qubits, lambda i: i in targets)
     result = grover_search(oracle, count_marked(oracle), RandomSource(args.seed))
-    payload = {
+    doc = {
         "qubits": args.qubits,
         "targets": sorted(targets),
         "outcome": result.outcome,
@@ -129,121 +122,63 @@ def _cmd_grover(args) -> int:
         "predicted_success": result.predicted_success,
         "seed": args.seed,
     }
-    if args.format == "json":
-        print(format_report(payload, "json"))
-    else:
-        print(f"# qubits {args.qubits}")
-        print(f"# targets {' '.join(str(t) for t in sorted(targets))}")
-        print(f"# iterations {result.iterations}")
-        print(f"# predicted_success {result.predicted_success:.6g}")
-        print(f"# seed {args.seed}")
-        print(payload["bitstring"])
-    return 0
+    header = _header(doc, "qubits", "targets", "iterations", "predicted_success", "seed")
+    return doc, header + [doc["bitstring"]]
 
 
-def _cmd_qft_demo(args) -> int:
+def _cmd_qft_demo(args) -> tuple[dict, Iterable[str]]:
     n = args.qubits
     state_mod._check_num_qubits(n)  # before the comb is allocated
     dim = 1 << n
     if not 1 <= args.period <= dim:
         raise ValueError(f"period must be between 1 and {dim}, got {args.period}")
     comb = [0.0] * dim
-    support = range(0, dim, args.period)
-    for i in support:
+    for i in range(0, dim, args.period):
         comb[i] = 1.0
-    transformed = qft(from_amplitudes(n, comb, normalize=True))
-    probs = transformed.probabilities()
-    table = [
-        (format(i, f"0{n}b"), float(p)) for i, p in enumerate(probs) if p > 1e-12
-    ]
-    if args.format == "json":
-        payload = {
-            "qubits": n,
-            "period": args.period,
-            "probabilities": {bits: p for bits, p in table},
-        }
-        print(format_report(payload, "json"))
-    else:
-        print(format_report(
-            {"qubits": n, "period": args.period, "table": table}, "text"
-        ))
-    return 0
+    probs = qft(from_amplitudes(n, comb, normalize=True)).probabilities()
+    table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 1e-12}
+    doc = {"qubits": n, "period": args.period, "probabilities": table}
+    rows = (f"{bits} {p:.6g}" for bits, p in table.items())
+    return doc, itertools.chain(_header(doc, "qubits", "period"), rows)
 
 
-def _cmd_shor(args) -> int:
+def _cmd_shor(args) -> tuple[dict, Iterable[str]]:
     p, q = shor_factor(args.n, RandomSource(args.seed))
-    if args.format == "json":
-        print(format_report({"n": args.n, "p": p, "q": q, "seed": args.seed}, "json"))
-    else:
-        print(f"# seed {args.seed}")
-        print(f"{args.n} = {p} × {q}")
-    return 0
+    doc = {"n": args.n, "p": p, "q": q, "seed": args.seed}
+    return doc, _header(doc, "seed") + [f"{args.n} = {p} × {q}"]
 
 
-def _cmd_walk(args) -> int:
+def _cmd_walk(args) -> tuple[dict, Iterable[str]]:
     quantum = quantum_walk_line(args.steps)
     classical = classical_walk_line(args.steps)
-    if args.format == "json":
-        payload = {
-            "steps": args.steps,
-            "positions": [int(p) for p in quantum.positions],
-            "quantum": [float(p) for p in quantum.probabilities],
-            "classical": [float(p) for p in classical.probabilities],
-            "sigma_quantum": quantum.std(),
-            "sigma_classical": classical.std(),
-        }
-        print(format_report(payload, "json"))
-    else:
-        table = [
-            (int(pos), float(prob))
-            for pos, prob in zip(quantum.positions, quantum.probabilities)
-            if prob > 1e-12
-        ]
-        print(format_report(
-            {
-                "steps": args.steps,
-                "table": table,
-                "sigma_quantum": quantum.std(),
-                "sigma_classical": classical.std(),
-            },
-            "text",
-        ))
-    return 0
+    doc = {
+        "steps": args.steps,
+        "positions": [int(p) for p in quantum.positions],
+        "quantum": [float(p) for p in quantum.probabilities],
+        "classical": [float(p) for p in classical.probabilities],
+        "sigma_quantum": quantum.std(),
+        "sigma_classical": classical.std(),
+    }
+    rows = [
+        f"{pos} {prob:.6g}" for pos, prob in zip(doc["positions"], doc["quantum"]) if prob > 1e-12
+    ]
+    return doc, _header(doc, "steps") + rows + _header(doc, "sigma_quantum", "sigma_classical")
 
 
-def _read_patterns(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    patterns = []
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            patterns.append(line)
-    return patterns
-
-
-def _cmd_qam(args) -> int:
-    memory = qam_store(_read_patterns(args.patterns_file))
+def _cmd_qam(args) -> tuple[dict, Iterable[str]]:
+    # Text-mode read() turns CRLF and CR into LF, so this splits where
+    # readlines() would; str.splitlines() would also split at \x0c, \x85, ...
+    lines = (line.split("#", 1)[0].strip() for line in _read(args.patterns_file).split("\n"))
+    memory = qam_store(line for line in lines if line)
     result = qam_query(memory, args.query, args.radius, RandomSource(args.seed))
-    payload = {
+    doc = {
         "query": args.query,
         "radius": args.radius,
         "pattern": result.pattern,
         "predicted_success": result.predicted_success,
         "seed": args.seed,
     }
-    if args.format == "json":
-        print(format_report(payload, "json"))
-    else:
-        print(f"# query {args.query}")
-        print(f"# radius {args.radius}")
-        print(f"# predicted_success {result.predicted_success:.6g}")
-        print(f"# seed {args.seed}")
-        print(result.pattern)
-    return 0
+    return doc, _header(doc, "query", "radius", "predicted_success", "seed") + [result.pattern]
 
 
 def _build_parser() -> _Parser:
@@ -314,20 +249,20 @@ def main(argv: list[str] | None = None) -> int:
             return USAGE_ERROR
 
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+    seed = getattr(args, "seed", 0)
+    if seed is None:
         args.seed = _fresh_seed()
-    if getattr(args, "seed", None) is not None and not 0 <= args.seed < SEED_LIMIT:
+    elif not 0 <= seed < SEED_LIMIT:
         print("error: seed must be a nonnegative 64-bit integer", file=sys.stderr)
         return USAGE_ERROR
 
     try:
-        return args.func(args)
-    except (ValueError, CircuitParseError) as exc:
+        doc, lines = args.func(args)
+    except (ValueError, RetryLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
-    except RetryLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
+    print(json.dumps(doc) if args.format == "json" else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

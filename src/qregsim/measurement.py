@@ -23,6 +23,10 @@ PRODUCT_TOLERANCE = 1e-9
 #: Seeds are the 64-bit integers in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 64
 
+#: Shots drawn and counted together by ``sample_counts``, so its memory
+#: does not grow with the shot count.
+_SHOT_BATCH = 1 << 20
+
 
 class RandomSource:
     """Seeded deterministic stream of uniform doubles in [0, 1).
@@ -188,13 +192,18 @@ def sample_counts(
         distribution = marginal_distribution(state, sorted(_check_qubits(state, qubits)))
     cum = np.cumsum(distribution)
     cum /= cum[-1]
-    # Sorted draws make the lookups monotone instead of random over ``cum``;
-    # the multiset of outcomes, and so the counts, stay the same.
-    uniforms = rng.uniforms(shots)
-    uniforms.sort()
-    outcomes = np.searchsorted(cum, uniforms, side="right")
-    values, freq = np.unique(outcomes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, freq)}
+    # Batches draw the same stream as one call would, and counts are a
+    # multiset, so batching and sorting leave them unchanged; sorted draws
+    # make the lookups monotone instead of random over ``cum``.
+    counts: dict[int, int] = {}
+    for start in range(0, shots, _SHOT_BATCH):
+        uniforms = rng.uniforms(min(_SHOT_BATCH, shots - start))
+        uniforms.sort()
+        outcomes = np.searchsorted(cum, uniforms, side="right")
+        values, freq = np.unique(outcomes, return_counts=True)
+        for v, c in zip(values.tolist(), freq.tolist()):
+            counts[v] = counts.get(v, 0) + c
+    return dict(sorted(counts.items()))
 
 
 def is_product(state: QuantumState, left_qubits: Iterable[int]) -> bool:

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 
 import pytest
 
+from qregsim import cli
+from qregsim.algorithms import qam_store
 from qregsim.cli import main
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure all\n"
@@ -173,6 +176,17 @@ class TestAlgorithms:
         assert code == 2
         assert "prime power" in err
 
+    @pytest.mark.parametrize("n", [str(3 * (10**400 + 1)), "998244359987710471"],
+                             ids=["overflows-float", "slow-trial-division"])
+    def test_shor_modulus_over_the_cap(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "shor", n, "--seed", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: period finding for mod_n={n} needs ")
+        assert err.endswith("qubits, exceeding the cap of 26\n")
+
     def test_walk_report(self, capsys):
         code, out, _ = run_cli(capsys, "walk", "--steps", "20")
         assert code == 0
@@ -203,6 +217,48 @@ class TestAlgorithms:
         seed_lines = [l for l in out.splitlines() if l.startswith("# seed ")]
         assert len(seed_lines) == 1
         assert int(seed_lines[0].split()[-1]) >= 0
+
+
+class TestInputFiles:
+    PATTERNS = "# stored patterns\n00000\n10000  # one bit\n11111"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_patterns_line_endings_load_like_lf(self, capsys, monkeypatch, tmp_path, newline):
+        loaded = []
+
+        def recording_store(patterns):
+            loaded.append(list(patterns))
+            return qam_store(loaded[-1])
+
+        monkeypatch.setattr(cli, "qam_store", recording_store)
+        outputs = []
+        for name, ending in (("lf", "\n"), ("other", newline)):
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(self.PATTERNS.replace("\n", ending).encode())
+            outputs.append(run_cli(capsys, "qam", "--patterns-file", str(path),
+                                   "--query", "11110", "--radius", "1", "--seed", "5"))
+        assert loaded == [["00000", "10000", "11111"]] * 2
+        assert outputs[0] == outputs[1]
+
+    def test_form_feed_inside_a_pattern_is_a_bad_pattern(self, capsys, tmp_path):
+        path = tmp_path / "patterns.txt"
+        path.write_bytes(b"0101\x0c1010\n")
+        code, out, err = run_cli(capsys, "qam", "--patterns-file", str(path),
+                                 "--query", "0101", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pattern must be")
+
+    def test_unreadable_path_reported_alike_by_run_and_qam(self, capsys, tmp_path):
+        run = run_cli(capsys, "run", str(tmp_path), "--seed", "1")
+        qam = run_cli(capsys, "qam", "--patterns-file", str(tmp_path), "--query", "1",
+                      "--seed", "1")
+        assert run == qam
+        code, out, err = run
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert err.count("\n") == 1
 
 
 class TestUsageErrors:

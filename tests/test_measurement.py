@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qregsim import (
     sample_counts,
     tensor,
 )
+from qregsim import measurement
 from qregsim.measurement import PRODUCT_TOLERANCE, _project
 
 
@@ -217,6 +219,36 @@ class TestSampleCounts:
             expected = sample_counts_reference(distribution, RandomSource(seed).uniforms(5_000))
             assert counts == expected
             assert rng.draw_count == 5_000
+
+    @pytest.mark.parametrize("qubits", [None, [0, 4, 2]])
+    def test_shots_over_several_batches_equal_one_draw(self, monkeypatch, qubits):
+        monkeypatch.setattr(measurement, "_SHOT_BATCH", 1000)
+        state = from_amplitudes(6, random_state_vector(6, np.random.default_rng(27)))
+        if qubits is None:
+            distribution = state.probabilities()
+        else:
+            distribution = marginal_distribution(state, sorted(qubits))
+        for shots in (999, 1000, 1001, 4321):
+            rng = RandomSource(shots)
+            counts = sample_counts(state, shots, rng, qubits=qubits)
+            expected = sample_counts_reference(distribution, RandomSource(shots).uniforms(shots))
+            assert list(counts.items()) == list(expected.items())
+            assert rng.draw_count == shots
+
+    def test_peak_allocation_does_not_grow_with_shots(self, monkeypatch):
+        batch = 1 << 10
+        monkeypatch.setattr(measurement, "_SHOT_BATCH", batch)
+        state = from_amplitudes(4, random_state_vector(4, np.random.default_rng(28)))
+        for shots in (batch, 1 << 16):
+            tracemalloc.start()
+            try:
+                sample_counts(state, shots, RandomSource(1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # About 30 B per shot of one batch; all 2^16 uniforms at once
+            # would take 512 KiB alone.
+            assert peak < 64 * batch
 
 
 class TestIsProduct:

@@ -1,6 +1,7 @@
 """Tests for period finding and the classical factoring wrapper."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestShorFactor:
     def test_even_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             shor_factor(20, RandomSource(0))
+
+    # The first overflows the float root of the prime-power test; the second
+    # (1000000007 x 998244353) takes minutes of trial division.
+    @pytest.mark.parametrize("mod_n", [3 * (10**400 + 1), 998244359987710471],
+                             ids=["overflows-float", "slow-trial-division"])
+    def test_modulus_over_the_cap_rejected_first(self, mod_n):
+        rng = RandomSource(1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="qubits, exceeding the cap of"):
+            shor_factor(mod_n, rng)
+        assert time.perf_counter() - start < 0.5
+        assert rng.draw_count == 0
 
     def test_factors_multiply_back(self):
         for seed in range(5):
