@@ -8,7 +8,8 @@ qubit) can produce arbitrarily many bits.
 
 from __future__ import annotations
 
-from ..measurement import RandomSource, measure_all
+from ..measurement import _SHOT_BATCH, RandomSource, _inverse_cdf
+from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import get_max_qubits
 from .grover import uniform_superposition
 
@@ -27,9 +28,13 @@ def qrng(num_bits: int, chunk: int, rng: RandomSource) -> int:
             f"chunk must be between 1 and the qubit cap {get_max_qubits()}, got {chunk}"
         )
     rounds = -(-num_bits // chunk)
-    prepared = uniform_superposition(chunk)  # immutable, identical every round
+    # Every round measures the same prepared state, and its post-state is
+    # never read, so each round is one uniform through one shared CDF,
+    # drawn in batches of the same stream that one draw per round reads.
+    lookup = _inverse_cdf(uniform_superposition(chunk).probabilities())
     value = 0
-    for r in range(rounds):
-        outcome, _ = measure_all(prepared, rng)
-        value |= outcome << (r * chunk)
+    for start in range(0, rounds, _SHOT_BATCH):
+        outcomes = lookup(rng.uniforms(min(_SHOT_BATCH, rounds - start)))
+        for r, outcome in enumerate(outcomes.tolist(), start):
+            value |= outcome << (r * chunk)
     return value & ((1 << num_bits) - 1)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gates import HADAMARD
+from ..state import _check_num_qubits
 
 #: Default coin giving a left-right symmetric quantum distribution.
 SYMMETRIC_COIN = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
@@ -38,6 +39,9 @@ def quantum_walk_line(steps: int, coin_init=SYMMETRIC_COIN) -> WalkDistribution:
     """Hadamard-coined walk from position 0 with the given initial coin state."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    # One coin qubit and ceil(log2(2*steps + 1)) position qubits, checked
+    # against the cap before the (2*steps + 1, 2) register is allocated.
+    _check_num_qubits(1 + int(2 * steps).bit_length())
     coin = np.asarray(coin_init, dtype=np.complex128)
     if coin.shape != (2,):
         raise ValueError("coin_init must have exactly two amplitudes")
@@ -62,7 +66,10 @@ def classical_walk_line(steps: int) -> WalkDistribution:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     probabilities = np.zeros(2 * steps + 1)
+    total = 1 << steps
+    c = 1  # C(steps, k); C(t, k + 1) = C(t, k) * (t - k) / (k + 1) divides exactly
     for k in range(steps + 1):
-        probabilities[2 * k] = math.comb(steps, k) / (1 << steps)
+        probabilities[2 * k] = c / total
+        c = c * (steps - k) // (k + 1)
     positions = np.arange(-steps, steps + 1)
     return WalkDistribution(steps, positions, probabilities)

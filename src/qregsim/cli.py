@@ -19,11 +19,12 @@ JSON is one document per run, readable by any generic parser.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
 import os
-import secrets
+import random
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -59,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fresh_seed() -> int:
-    return secrets.randbits(63)
+    # What secrets.randbits does, without importing hashlib and OpenSSL.
+    return random.SystemRandom().getrandbits(63)
 
 
 def _header(doc: dict, *keys: str) -> list[str]:
@@ -181,6 +183,7 @@ def _cmd_qam(args) -> tuple[dict, Iterable[str]]:
     return doc, _header(doc, "query", "radius", "predicted_success", "seed") + [result.pattern]
 
 
+@functools.cache  # parse_args does not mutate the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qregsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,7 +10,8 @@ works on the ``[2]*n`` view of the register, with qubit ``q`` on axis
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import functools
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ PRODUCT_TOLERANCE = 1e-9
 #: Seeds are the 64-bit integers in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 64
 
-#: Shots drawn and counted together by ``sample_counts``, so its memory
-#: does not grow with the shot count.
+#: Shots drawn and counted together by ``sample_counts`` (rounds by
+#: ``qrng``), so their memory does not grow with the shot count.
 _SHOT_BATCH = 1 << 20
 
 
@@ -123,11 +124,15 @@ def marginal_distribution(state: QuantumState, qubits: Sequence[int]) -> np.ndar
     return summed.transpose([kept.index(q) for q in reversed(qubits)]).reshape(-1)
 
 
-def _draw_index(distribution: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw over basis order; zero-probability bins unreachable."""
+def _inverse_cdf(distribution: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Map uniforms in [0, 1) to indices in basis order; zero-probability bins unreachable."""
     cum = np.cumsum(distribution)
     cum /= cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+    return functools.partial(cum.searchsorted, side="right")
+
+
+def _draw_index(distribution: np.ndarray, u: float) -> int:
+    return int(_inverse_cdf(distribution)(u))
 
 
 def _project(state: QuantumState, bits: Mapping[int, int]) -> QuantumState:
@@ -190,17 +195,15 @@ def sample_counts(
         distribution = state.probabilities()
     else:
         distribution = marginal_distribution(state, sorted(_check_qubits(state, qubits)))
-    cum = np.cumsum(distribution)
-    cum /= cum[-1]
+    lookup = _inverse_cdf(distribution)
     # Batches draw the same stream as one call would, and counts are a
     # multiset, so batching and sorting leave them unchanged; sorted draws
-    # make the lookups monotone instead of random over ``cum``.
+    # make the lookups monotone instead of random over the CDF.
     counts: dict[int, int] = {}
     for start in range(0, shots, _SHOT_BATCH):
         uniforms = rng.uniforms(min(_SHOT_BATCH, shots - start))
         uniforms.sort()
-        outcomes = np.searchsorted(cum, uniforms, side="right")
-        values, freq = np.unique(outcomes, return_counts=True)
+        values, freq = np.unique(lookup(uniforms), return_counts=True)
         for v, c in zip(values.tolist(), freq.tolist()):
             counts[v] = counts.get(v, 0) + c
     return dict(sorted(counts.items()))

@@ -7,8 +7,10 @@ through exhaustive exponentiation, marginals, projections and product
 checks through bit masks over every basis index, amplitude
 amplification through one full-vector pass per reflection, shot
 sampling through unsorted lookups, period finding through the whole
-exponent-and-function register, and the gate kernel through one ``[2]``
-dimension per qubit with its axis lists rebuilt on every call.
+exponent-and-function register, the gate kernel through one ``[2]``
+dimension per qubit with its axis lists rebuilt on every call, random
+integers through one full measurement per round, and the classical walk
+through one binomial coefficient per position.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import numpy as np
 
 from qregsim import gates
+from qregsim.algorithms.grover import uniform_superposition
 from qregsim.algorithms.qft import inverse_qft
 from qregsim.algorithms.shor import (
     PERIOD_RETRY_CAP,
@@ -27,7 +30,7 @@ from qregsim.algorithms.shor import (
     _entangled_register,
     _minimal_order,
 )
-from qregsim.measurement import measure_qubits
+from qregsim.measurement import measure_all, measure_qubits
 
 
 def kron_embed(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
@@ -152,6 +155,24 @@ def shor_period_reference(a: int, mod_n: int, rng) -> tuple[int, list[int]]:
             if pow(a, r, mod_n) == 1:
                 return _minimal_order(r, a, mod_n), measured
     raise RetryLimitExceeded(f"no period found for a={a} mod {mod_n}")
+
+
+def qrng_reference(num_bits: int, chunk: int, rng) -> int:
+    """``qrng`` as ceil(num_bits / chunk) rounds of ``measure_all``, one uniform each."""
+    prepared = uniform_superposition(chunk)
+    value = 0
+    for r in range(-(-num_bits // chunk)):
+        outcome, _ = measure_all(prepared, rng)
+        value |= outcome << (r * chunk)
+    return value & ((1 << num_bits) - 1)
+
+
+def classical_walk_reference(steps: int) -> np.ndarray:
+    """P(2k - t) = C(t, k) / 2**t, with ``math.comb`` for every k."""
+    probabilities = np.zeros(2 * steps + 1)
+    for k in range(steps + 1):
+        probabilities[2 * k] = math.comb(steps, k) / (1 << steps)
+    return probabilities
 
 
 def update_reference(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None:

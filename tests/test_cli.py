@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import pytest
 
+import qregsim
 from qregsim import cli
 from qregsim.algorithms import qam_store
 from qregsim.cli import main
@@ -203,6 +209,18 @@ class TestAlgorithms:
         assert len(payload["positions"]) == 21
         assert abs(sum(payload["quantum"]) - 1.0) < 1e-9
 
+    def test_walk_register_width_checked_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "walk", "--steps", "100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == "error: num_qubits=39 exceeds the configured cap of 26\n"
+        assert peak < 64 * 1024
+
     def test_qam(self, capsys, patterns_file):
         code, out, _ = run_cli(
             capsys, "qam", "--patterns-file", patterns_file,
@@ -217,6 +235,19 @@ class TestAlgorithms:
         seed_lines = [l for l in out.splitlines() if l.startswith("# seed ")]
         assert len(seed_lines) == 1
         assert int(seed_lines[0].split()[-1]) >= 0
+
+
+class TestProcess:
+    def test_parser_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_leaves_openssl_unloaded(self):
+        """Fresh seeds come from the OS without hashlib's OpenSSL binding."""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qregsim.__file__).parents[1]))
+        probe = "import sys, qregsim.cli; print('_hashlib' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestInputFiles:

@@ -95,15 +95,32 @@ def goldens():
     return json.loads(GOLDENS.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case_id", sorted(CASES))
-def test_report_matches_golden(case_id, goldens, tmp_path):
-    got, want = _run(case_id, tmp_path), goldens[case_id]
+def _assert_matches_golden(case_id, goldens, tmp):
+    got, want = _run(case_id, tmp), goldens[case_id]
     assert (got["code"], got["stderr"]) == (want["code"], want["stderr"])
     if case_id.endswith("-json") and want["stdout"]:
         assert got["stdout"].endswith("\n") and got["stdout"].count("\n") == 1
         _assert_same_document(json.loads(got["stdout"]), json.loads(want["stdout"]))
     else:
         assert got["stdout"] == want["stdout"]
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_report_matches_golden(case_id, goldens, tmp_path):
+    _assert_matches_golden(case_id, goldens, tmp_path)
+
+
+def test_cached_parser_after_a_usage_error(goldens, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["qrng", "--bits", "ten"])
+    assert excinfo.value.code == 1
+    capsys.readouterr()
+    _assert_matches_golden("qrng-text", goldens, tmp_path)
+
+
+def test_cached_parser_across_alternating_commands(goldens, tmp_path):
+    for case_id in ["grover-text", "qrng-text", "grover-json", "qrng-json"] * 2:
+        _assert_matches_golden(case_id, goldens, tmp_path)
 
 
 def test_goldens_cover_every_case(goldens):

@@ -1,13 +1,20 @@
 """Tests for chunked random bit generation."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import chi_square_statistic
+from oracles import chi_square_statistic, qrng_reference
 
 from qregsim import RandomSource
 from qregsim.algorithms import qrng
+
+# ``qregsim.algorithms.qrng`` names the function once the package is imported.
+qrng_module = importlib.import_module("qregsim.algorithms.qrng")
 
 
 class TestChunking:
@@ -42,6 +49,26 @@ class TestChunking:
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             qrng(0, 1, RandomSource(0))
+
+
+class TestAgainstReference:
+    """One batched draw per call equals one ``measure_all`` per round."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 200), st.integers(1, 12))
+    def test_values_and_draw_counts_match(self, seed, bits, chunk):
+        fast, slow = RandomSource(seed), RandomSource(seed)
+        assert qrng(bits, chunk, fast) == qrng_reference(bits, chunk, slow)
+        assert fast.draw_count == slow.draw_count
+
+    @pytest.mark.parametrize("bits,chunk", [(7, 1), (12, 3), (40, 3), (5, 12)])
+    def test_rounds_split_across_batches(self, monkeypatch, bits, chunk):
+        """Rounds drawn in several batches read the stream one draw per round reads."""
+        monkeypatch.setattr(qrng_module, "_SHOT_BATCH", 3)
+        for seed in range(10):
+            fast, slow = RandomSource(seed), RandomSource(seed)
+            assert qrng(bits, chunk, fast) == qrng_reference(bits, chunk, slow)
+            assert fast.draw_count == slow.draw_count
 
 
 class TestUniformity:

@@ -1,10 +1,14 @@
 """Tests for the coined line walk against the exact classical binomial."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import classical_walk_reference
+
+import qregsim
 from qregsim.algorithms import classical_walk_line, quantum_walk_line
 from qregsim.algorithms.walk import SYMMETRIC_COIN
 
@@ -48,6 +52,30 @@ class TestQuantumWalk:
         with pytest.raises(ValueError):
             quantum_walk_line(-1)
 
+    def test_register_width_checked_before_allocating(self):
+        """10^11 steps need 39 qubits; the cap fails before 5.8 TiB is asked for."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="num_qubits=39 exceeds the configured cap"):
+                quantum_walk_line(10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("steps,width", [(0, 1), (1, 3), (2, 4), (3, 4), (4, 5), (8, 6)])
+    def test_register_width_is_coin_plus_position_qubits(self, steps, width):
+        old = qregsim.get_max_qubits()
+        try:
+            qregsim.set_max_qubits(width)
+            quantum_walk_line(steps)
+            if width > 1:
+                qregsim.set_max_qubits(width - 1)
+                with pytest.raises(ValueError, match="cap"):
+                    quantum_walk_line(steps)
+        finally:
+            qregsim.set_max_qubits(old)
+
 
 class TestClassicalWalk:
     def test_exact_binomial(self):
@@ -56,6 +84,11 @@ class TestClassicalWalk:
         for k in range(5):
             expected[2 * k] = math.comb(4, k) / 16
         np.testing.assert_array_equal(dist.probabilities, expected)
+
+    def test_matches_reference_bit_for_bit(self):
+        for t in [*range(301), 1074, 1075, 2000, 3000]:
+            assert np.array_equal(classical_walk_line(t).probabilities,
+                                  classical_walk_reference(t)), t
 
     def test_std_is_sqrt_t(self):
         for t in (4, 25, 100):
