@@ -19,6 +19,7 @@ import numpy as np
 
 from .. import gates
 from ..gates import GateApplication
+from ..measurement import _check_qubits
 from ..state import QuantumState
 
 
@@ -62,13 +63,7 @@ def _inverse_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
 def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> tuple[int, ...]:
     if qubits is None:
         return tuple(range(state.num_qubits))
-    qubits = [int(q) for q in qubits]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices in {qubits}")
-    for q in qubits:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
-    return tuple(sorted(qubits))
+    return tuple(sorted(_check_qubits(state, qubits)))
 
 
 def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:

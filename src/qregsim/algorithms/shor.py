@@ -1,11 +1,12 @@
 """Order finding and integer factoring via the period-finding circuit.
 
-The quantum subroutine prepares (1/sqrt(2**t)) * sum_x |x>|a**x mod N>
-directly as amplitudes (gate-level modular arithmetic is out of scope),
-measures the function register, applies the inverse Fourier transform to
-the exponent register, and recovers the period from the measured value by
-continued fractions.  The function measurement leaves a product state, so
-the transform and the second measurement see only the t exponent qubits.
+The circuit prepares (1/sqrt(2**t)) * sum_x |x>|a**x mod N>, measures the
+function register, inverse-transforms the exponent register and recovers
+the period from the measured value by continued fractions.  Neither the
+modular arithmetic nor the function register is built: measuring it reads
+f with probability #{x : a**x = f (mod N)} / 2**t and leaves the t exponent
+qubits in the uniform comb over those x, so each sample draws f from that
+histogram and prepares the comb directly as amplitudes.
 A classical wrapper reduces factoring to order finding in the usual way.
 """
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from ..measurement import RandomSource, _draw_index, marginal_distribution, measure_qubits
+from ..measurement import RandomSource, _draw_index, measure_qubits
 from ..state import QuantumState, get_max_qubits
 from .qft import inverse_qft
 
@@ -53,53 +54,47 @@ def _minimal_order(candidate: int, a: int, mod_n: int) -> int:
     return candidate
 
 
-def _entangled_register(a: int, mod_n: int, t: int, m: int) -> QuantumState:
-    """(1/sqrt(2**t)) sum_x |x>|a**x mod N> with the exponent register on top."""
-    values = np.empty(1 << t, dtype=np.intp)
+def _powers(a: int, mod_n: int, t: int) -> np.ndarray:
+    """a**x mod mod_n for every exponent x < 2**t."""
+    powers = np.empty(1 << t, dtype=np.intp)
     acc = 1
     for x in range(1 << t):
-        values[x] = acc
+        powers[x] = acc
         acc = acc * a % mod_n
-    amps = np.zeros(1 << (t + m), dtype=np.complex128)
-    amps[(np.arange(1 << t) << m) + values] = 1.0 / math.sqrt(1 << t)
-    return QuantumState(t + m, amps, copy=False)
+    return powers
 
 
-def _register_widths(mod_n: int) -> tuple[int, int]:
-    """Exponent and function register widths (t, m) for ``mod_n``, within the cap."""
-    m = (mod_n - 1).bit_length()
+def _exponent_width(mod_n: int) -> int:
+    """Exponent register width t for ``mod_n``, within the cap."""
     t = (mod_n * mod_n - 1).bit_length()
-    if t + m > get_max_qubits():
+    if t > get_max_qubits():
         raise ValueError(
-            f"period finding for mod_n={mod_n} needs {t + m} qubits, "
+            f"period finding for mod_n={mod_n} needs {t} qubits, "
             f"exceeding the cap of {get_max_qubits()}"
         )
-    return t, m
+    return t
 
 
 def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
     """The multiplicative order of ``a`` modulo ``mod_n``.
 
-    Requires 2 <= a < mod_n with gcd(a, mod_n) = 1 and register sizes within
-    the qubit cap.  Raises RetryLimitExceeded if no sample yields the period
-    within the retry budget.
+    Requires 2 <= a < mod_n with gcd(a, mod_n) = 1 and the
+    t = bit_length(mod_n**2 - 1) exponent qubits within the qubit cap.
+    Raises RetryLimitExceeded if no sample yields the period in the budget.
     """
     if not 2 <= a < mod_n:
         raise ValueError(f"base must satisfy 2 <= a < mod_n, got a={a}, mod_n={mod_n}")
     if math.gcd(a, mod_n) != 1:
         raise ValueError(f"gcd({a}, {mod_n}) != 1: base shares a factor with the modulus")
-    t, m = _register_widths(mod_n)
-    register = _entangled_register(a, mod_n, t, m)
-    # Measuring the function register leaves |psi_f> (x) |f>, an exact
-    # product, so the transform and the exponent measurement run on the
-    # 2**t column of the observed f alone.
-    columns = register.amplitudes.reshape(1 << t, 1 << m)
-    function_marginal = marginal_distribution(register, range(m))
+    t = _exponent_width(mod_n)
+    powers = _powers(a, mod_n, t)
+    function_distribution = np.bincount(powers) / (1 << t)
     for _ in range(PERIOD_RETRY_CAP):
-        f = _draw_index(function_marginal, rng.uniform())
-        column = columns[:, f]
-        exponent = QuantumState(t, column / np.linalg.norm(column), copy=False)
-        outcome = measure_qubits(inverse_qft(exponent), range(t), rng)
+        f = _draw_index(function_distribution, rng.uniform())
+        comb = np.zeros(1 << t, dtype=np.complex128)
+        comb[powers == f] = 1.0 / math.sqrt(1 << t)
+        comb /= np.linalg.norm(comb)
+        outcome = measure_qubits(inverse_qft(QuantumState(t, comb, copy=False)), range(t), rng)
         y = sum(bit << q for q, bit in outcome.measured_bits.items())
         for r in _convergent_denominators(y, 1 << t, mod_n):
             if pow(a, r, mod_n) == 1:
@@ -137,7 +132,7 @@ def shor_factor(mod_n: int, rng: RandomSource) -> tuple[int, int]:
         raise ValueError(f"mod_n must be an odd integer >= 3, got {mod_n}")
     # Before the primality tests, which take too long or overflow on
     # moduli far beyond the cap.
-    _register_widths(mod_n)
+    _exponent_width(mod_n)
     if _is_prime(mod_n):
         raise ValueError(f"{mod_n} is prime; nothing to factor")
     if _prime_power_root(mod_n) is not None:

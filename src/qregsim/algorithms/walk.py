@@ -35,13 +35,19 @@ class WalkDistribution:
         return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def quantum_walk_line(steps: int, coin_init=SYMMETRIC_COIN) -> WalkDistribution:
-    """Hadamard-coined walk from position 0 with the given initial coin state."""
+def _check_steps(steps: int) -> None:
+    """Reject negative steps, and walks whose coin-plus-position qubits exceed the cap.
+
+    One coin qubit and ceil(log2(2*steps + 1)) position qubits, classical or quantum.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    # One coin qubit and ceil(log2(2*steps + 1)) position qubits, checked
-    # against the cap before the (2*steps + 1, 2) register is allocated.
     _check_num_qubits(1 + int(2 * steps).bit_length())
+
+
+def quantum_walk_line(steps: int, coin_init=SYMMETRIC_COIN) -> WalkDistribution:
+    """Hadamard-coined walk from position 0 with the given initial coin state."""
+    _check_steps(steps)
     coin = np.asarray(coin_init, dtype=np.complex128)
     if coin.shape != (2,):
         raise ValueError("coin_init must have exactly two amplitudes")
@@ -63,8 +69,7 @@ def quantum_walk_line(steps: int, coin_init=SYMMETRIC_COIN) -> WalkDistribution:
 
 def classical_walk_line(steps: int) -> WalkDistribution:
     """Exact symmetric binomial walk: P(2k - t) = C(t, k) / 2**t."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_steps(steps)
     probabilities = np.zeros(2 * steps + 1)
     total = 1 << steps
     c = 1  # C(steps, k); C(t, k + 1) = C(t, k) * (t - k) / (k + 1) divides exactly

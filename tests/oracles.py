@@ -27,10 +27,10 @@ from qregsim.algorithms.shor import (
     PERIOD_RETRY_CAP,
     RetryLimitExceeded,
     _convergent_denominators,
-    _entangled_register,
     _minimal_order,
 )
 from qregsim.measurement import measure_all, measure_qubits
+from qregsim.state import QuantumState
 
 
 def kron_embed(matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
@@ -134,6 +134,18 @@ def sample_counts_reference(distribution: np.ndarray, uniforms: np.ndarray) -> d
     return {int(v): int(c) for v, c in zip(values, freq)}
 
 
+def entangled_register(a: int, mod_n: int, t: int, m: int) -> QuantumState:
+    """(1/sqrt(2**t)) sum_x |x>|a**x mod N> with the exponent register on top."""
+    values = np.empty(1 << t, dtype=np.intp)
+    acc = 1
+    for x in range(1 << t):
+        values[x] = acc
+        acc = acc * a % mod_n
+    amps = np.zeros(1 << (t + m), dtype=np.complex128)
+    amps[(np.arange(1 << t) << m) + values] = 1.0 / math.sqrt(1 << t)
+    return QuantumState(t + m, amps, copy=False)
+
+
 def shor_period_reference(a: int, mod_n: int, rng) -> tuple[int, list[int]]:
     """Order of ``a`` mod ``mod_n`` and every measured exponent ``y``, in order.
 
@@ -143,7 +155,7 @@ def shor_period_reference(a: int, mod_n: int, rng) -> tuple[int, list[int]]:
     m = (mod_n - 1).bit_length()
     t = (mod_n * mod_n - 1).bit_length()
     exponent_register = list(range(m, m + t))
-    register = _entangled_register(a, mod_n, t, m)
+    register = entangled_register(a, mod_n, t, m)
     measured = []
     for _ in range(PERIOD_RETRY_CAP):
         state = measure_qubits(register, list(range(m)), rng).post_state

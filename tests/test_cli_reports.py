@@ -39,6 +39,7 @@ _CASES = [
     ("qft-demo-4-3", ["qft-demo", "--qubits", "4", "--period", "3"], {}),
     ("shor-15", ["shor", "15", "--seed", "1"], {}),
     ("shor-21", ["shor", "21", "--seed", "2"], {}),
+    ("shor-143", ["shor", "143", "--seed", "1"], {}),
     ("walk", ["walk", "--steps", "10"], {}),
     ("qam", ["qam", "--patterns-file", "{tmp}/patterns.txt", "--query", "11110",
              "--radius", "1", "--seed", "5"], {"patterns.txt": PATTERNS}),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import dft_matrix, random_state_vector
 
-from qregsim import basis_state, from_amplitudes, gates
+from qregsim import RandomSource, basis_state, from_amplitudes, gates, measure_qubits
 from qregsim.algorithms import inverse_qft, qft, qft_applications
 from qregsim.algorithms.qft import _forward_ladder, _inverse_ladder
 
@@ -100,8 +100,15 @@ class TestSubRegister:
         )
 
     def test_duplicate_qubits_rejected(self):
-        with pytest.raises(ValueError):
-            qft(basis_state(3, 0), qubits=[0, 0])
+        """Duplicate and out-of-range qubits fail as ``measure_qubits`` reports them."""
+        state = basis_state(3, 0)
+        for qubits in ([0, 0], [1, 3], [-1]):
+            with pytest.raises(ValueError) as expected:
+                measure_qubits(state, qubits, RandomSource(0))
+            for transform in (qft, inverse_qft):
+                with pytest.raises(ValueError) as got:
+                    transform(state, qubits=qubits)
+                assert str(got.value) == str(expected.value)
 
 
 class TestLadderCache:

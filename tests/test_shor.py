@@ -2,13 +2,21 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_order, shor_period_reference
+from oracles import brute_force_order, entangled_register, shor_period_reference
 
-from qregsim import RandomSource, is_product, measure_qubits
+from qregsim import (
+    RandomSource,
+    get_max_qubits,
+    is_product,
+    marginal_distribution,
+    measure_qubits,
+    set_max_qubits,
+)
 from qregsim.algorithms import shor_factor, shor_period
 from qregsim.algorithms import shor
 from qregsim.algorithms.shor import _convergent_denominators
@@ -44,20 +52,25 @@ class TestShorPeriod:
                 got = shor_period(a, mod_n, RandomSource(a))
                 assert got == brute_force_order(a, mod_n)
 
-    def test_register_built_once_per_call(self, monkeypatch):
-        built = []
-        original = shor._entangled_register
+    def test_powers_computed_once_per_call(self, monkeypatch):
+        computed = []
+        original = shor._powers
 
         def counting(*args):
-            built.append(args)
+            computed.append(args)
             return original(*args)
 
-        monkeypatch.setattr(shor, "_entangled_register", counting)
+        monkeypatch.setattr(shor, "_powers", counting)
+        measured = _recorded_exponents(monkeypatch)
+        retried = 0
         # Base 4 mod 21 (order 3) needs several samples for some seeds.
         for seed in range(6):
-            built.clear()
+            computed.clear()
+            measured.clear()
             assert shor_period(4, 21, RandomSource(seed)) == 3
-            assert len(built) == 1
+            assert len(computed) == 1
+            retried += len(measured) > 1
+        assert retried > 0
 
     def test_shared_factor_rejected(self):
         with pytest.raises(ValueError, match="gcd"):
@@ -66,6 +79,10 @@ class TestShorPeriod:
     def test_base_range_validated(self):
         with pytest.raises(ValueError):
             shor_period(1, 15, RandomSource(0))
+
+
+class _Captured(Exception):
+    """Carries the exponent state out of ``shor_period`` before its transform."""
 
 
 def _recorded_exponents(monkeypatch) -> list[int]:
@@ -102,7 +119,7 @@ class TestExponentRegisterOnly:
     def test_function_measurement_leaves_a_product(self, a, mod_n):
         m = (mod_n - 1).bit_length()
         t = (mod_n * mod_n - 1).bit_length()
-        register = shor._entangled_register(a, mod_n, t, m)
+        register = entangled_register(a, mod_n, t, m)
         columns = register.amplitudes.reshape(1 << t, 1 << m)
         for seed in range(5):
             outcome = measure_qubits(register, range(m), RandomSource(seed))
@@ -114,9 +131,68 @@ class TestExponentRegisterOnly:
             np.testing.assert_array_equal(kept[:, f], expected)
             assert not np.delete(kept, f, axis=1).any()
 
+    @pytest.mark.parametrize("mod_n", [15, 21, 33, 35])
+    def test_comb_is_the_reference_column(self, monkeypatch, mod_n):
+        """For every f, the prepared comb is the register's column at f, renormalized."""
+        m = (mod_n - 1).bit_length()
+        t = (mod_n * mod_n - 1).bit_length()
+        drawn = {}
+
+        def draw(distribution, u):
+            drawn["distribution"] = distribution
+            return drawn["f"]
+
+        def capture(state):
+            raise _Captured(state.amplitudes)
+
+        monkeypatch.setattr(shor, "_draw_index", draw)
+        monkeypatch.setattr(shor, "inverse_qft", capture)
+        for a in range(2, mod_n):
+            if math.gcd(a, mod_n) != 1:
+                continue
+            register = entangled_register(a, mod_n, t, m)
+            columns = register.amplitudes.reshape(1 << t, 1 << m)
+            function_marginal = marginal_distribution(register, range(m))
+            support = np.flatnonzero(function_marginal)
+            assert len(support) == brute_force_order(a, mod_n)
+            for f in support:
+                drawn["f"] = f
+                with pytest.raises(_Captured) as captured:
+                    shor_period(a, mod_n, RandomSource(0))
+                comb = captured.value.args[0]
+                np.testing.assert_array_equal(comb, columns[:, f] / np.linalg.norm(columns[:, f]))
+                distribution = drawn["distribution"]
+                np.testing.assert_array_equal(np.flatnonzero(distribution), support)
+                np.testing.assert_allclose(distribution, function_marginal[: len(distribution)],
+                                           rtol=1e-12)
+
     def test_modulus_143(self):
-        # 23 qubits in the register; only the 15 exponent qubits are transformed.
+        # 15 exponent qubits; the function register is never built.
         assert shor_period(2, 143, RandomSource(1)) == 60
+
+    def test_peak_memory_is_a_few_exponent_states(self):
+        # Warm up first: one-time imports and the cached 15-qubit ladder are
+        # not per-call memory.
+        shor_period(2, 143, RandomSource(1))
+        tracemalloc.start()
+        try:
+            assert shor_period(2, 143, RandomSource(1)) == 60
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8 x the 2**15-amplitude state.
+        assert peak < 8 * (1 << 15) * 16
+
+    def test_cap_counts_the_exponent_qubits_alone(self):
+        old = get_max_qubits()
+        try:
+            set_max_qubits(8)
+            assert shor_factor(15, RandomSource(3)) == (3, 5)
+            set_max_qubits(7)
+            with pytest.raises(ValueError, match="needs 8 qubits, exceeding the cap of 7"):
+                shor_factor(15, RandomSource(3))
+        finally:
+            set_max_qubits(old)
 
 
 class TestShorFactor:

@@ -78,6 +78,21 @@ class TestQuantumWalk:
 
 
 class TestClassicalWalk:
+    def test_register_width_checked_before_allocating(self):
+        """10^11 steps count as 39 qubits; the cap fails before 1.46 TiB is asked for."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="num_qubits=39 exceeds the configured cap"):
+                classical_walk_line(10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            classical_walk_line(-1)
+
     def test_exact_binomial(self):
         dist = classical_walk_line(4)
         expected = np.zeros(9)
