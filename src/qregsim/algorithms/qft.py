@@ -6,7 +6,8 @@ from the most significant down, a Hadamard followed by controlled phase
 rotations pi/2, pi/4, ... conditioned on the lower qubits, finished by a
 qubit-reversal swap stage.  Each ladder, forward and inverse, is built
 once per register and reused, so its gates keep their kernel plans.  A
-transform copies its input once and runs the ladder on that copy.
+transform runs its ladder through the gate-sequence driver, which only
+reads the input state: the first Hadamard writes a fresh buffer.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import lru_cache
-
-import numpy as np
 
 from .. import gates
 from ..gates import GateApplication
@@ -73,10 +72,10 @@ def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumStat
     index convention.
     """
     ladder = _forward_ladder(_resolve_qubits(state, qubits))
-    return gates._evolve(np.array(state.amplitudes), state.num_qubits, ladder)
+    return gates._evolve(state.amplitudes, state.num_qubits, ladder)
 
 
 def inverse_qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:
     """Inverse transform; inverse_qft(qft(s)) recovers s."""
     ladder = _inverse_ladder(_resolve_qubits(state, qubits))
-    return gates._evolve(np.array(state.amplitudes), state.num_qubits, ladder)
+    return gates._evolve(state.amplitudes, state.num_qubits, ladder)

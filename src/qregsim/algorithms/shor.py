@@ -55,12 +55,17 @@ def _minimal_order(candidate: int, a: int, mod_n: int) -> int:
 
 
 def _powers(a: int, mod_n: int, t: int) -> np.ndarray:
-    """a**x mod mod_n for every exponent x < 2**t."""
-    powers = np.empty(1 << t, dtype=np.intp)
-    acc = 1
-    for x in range(1 << t):
-        powers[x] = acc
-        acc = acc * a % mod_n
+    """a**x mod mod_n for every exponent x < 2**t, filled by doubling blocks.
+
+    Each block is the one before it times a**k: exact in int64, since every
+    product stays below mod_n**2 <= 2**t.
+    """
+    powers = np.empty(1 << t, dtype=np.int64)
+    powers[0] = 1
+    k = 1
+    while k < 1 << t:
+        powers[k : 2 * k] = powers[:k] * pow(a, k, mod_n) % mod_n
+        k *= 2
     return powers
 
 

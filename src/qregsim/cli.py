@@ -28,6 +28,8 @@ import random
 import sys
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from . import circuit as circuit_mod
 from . import state as state_mod
 from .algorithms import (
@@ -96,7 +98,8 @@ def _histogram(doc: dict) -> Iterator[str]:
 
 def _cmd_run(args) -> tuple[dict, Iterable[str]]:
     result = circuit_mod.run(circuit_mod.parse(_read(args.circuit)), args.shots, args.seed)
-    counts = {result.bitstring(o): c for o, c in sorted(result.counts.items())}
+    spec = f"0{result.num_bits}b"  # as RunResult.bitstring; counts come in ascending order
+    counts = {format(o, spec): c for o, c in result.counts.items()}
     doc = {"shots": result.shots, "seed": result.seed, "counts": counts}
     return doc, _histogram(doc)
 
@@ -134,9 +137,8 @@ def _cmd_qft_demo(args) -> tuple[dict, Iterable[str]]:
     dim = 1 << n
     if not 1 <= args.period <= dim:
         raise ValueError(f"period must be between 1 and {dim}, got {args.period}")
-    comb = [0.0] * dim
-    for i in range(0, dim, args.period):
-        comb[i] = 1.0
+    comb = np.zeros(dim)
+    comb[:: args.period] = 1.0
     probs = qft(from_amplitudes(n, comb, normalize=True)).probabilities()
     table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 1e-12}
     doc = {"qubits": n, "period": args.period, "probabilities": table}

@@ -9,9 +9,10 @@ operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
 output slice of the target axes sums input slices weighted by a matrix row.
 The kernel keeps that axis order but merges each run of adjacent non-target
 axes into one dimension, with the view's shape, transpose and chunk walk
-computed once per target tuple and register width.  A gate sequence evolves
-one buffer it owns, in place where the gate allows, and validates the state
-once at the end.
+computed once per target tuple and register width.  One driver runs every
+gate sequence, from a single ``apply`` to a whole circuit or transform: it
+only reads a caller's read-only amplitudes, evolves a buffer of its own, in
+place where the gate allows, and validates the state once at the end.
 """
 
 from __future__ import annotations
@@ -241,15 +242,14 @@ class _Layout(NamedTuple):
     boundary merged into one dimension; a target axis stays one dimension of
     size 2.  ``order`` transposes it to the outer (chunk) dimensions, the
     target axes in gate order, then the inner dimensions.  ``chunks`` indexes
-    every chunk of the outer dimensions, and ``scratch_shape`` and
-    ``scratch_size`` are those of one row slice of one chunk.
+    every chunk of the outer dimensions, and ``scratch_shape`` is the shape
+    of one row slice of one chunk.
     """
 
     shape: tuple[int, ...]
     order: tuple[int, ...]
     chunks: tuple[tuple[int, ...], ...]
     scratch_shape: tuple[int, ...]
-    scratch_size: int
 
 
 # A layout holds one index tuple per chunk: about 170 KB for a one-qubit
@@ -284,18 +284,19 @@ def _layout(targets: tuple[int, ...], num_qubits: int, chunk_qubits: int) -> _La
     order = outer_dims + [target_dims[a] for a in axes] + inner_dims
     chunks = tuple(itertools.product(*(range(shape[d]) for d in outer_dims)))
     scratch_shape = tuple(shape[d] for d in inner_dims)
-    return _Layout(tuple(shape), tuple(order), chunks, scratch_shape, math.prod(scratch_shape))
+    return _Layout(tuple(shape), tuple(order), chunks, scratch_shape)
 
 
-def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None:
+def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch: bool) -> None:
     """Write one gate plan applied to ``source`` into ``out``, unvalidated.
 
     On the ``[2]*n`` view, each output slice of the target axes sums input
     slices weighted by a matrix row; unit entries are slice copies.  ``out``
     is another buffer, or ``source`` itself for an in-place plan: identity
-    rows are then skipped and parked rows read back from ``scratch``.
-    ``scratch`` holds ``_scratch_size(n)`` amplitudes, or is None when the
-    plan needs none.  The view comes from ``_layout``: qubit ``q`` stays on
+    rows are then skipped and parked rows read back from the scratch slice.
+    With ``scratch`` true, that slice (one row slice of one chunk, which
+    also holds the scaled terms of a multi-term row) is allocated here and
+    released on return.  The view comes from ``_layout``: qubit ``q`` stays on
     axis ``n-1-q``, but runs of adjacent non-target axes are merged, so each
     slice has at most one dimension per run instead of one per qubit.
     Non-target axes above the lowest ``_CHUNK_QUBITS`` are walked one chunk
@@ -306,9 +307,7 @@ def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None
     in_place = out is source
     src = source.reshape(layout.shape).transpose(layout.order)
     view = src if in_place else out.reshape(layout.shape).transpose(layout.order)
-    tmp = None
-    if scratch is not None:
-        tmp = scratch[: layout.scratch_size].reshape(layout.scratch_shape)
+    tmp = np.empty(layout.scratch_shape, dtype=np.complex128) if scratch else None
     for chunk in layout.chunks:
         chunk_src, chunk_out = src[chunk], view[chunk]
         parked = None
@@ -337,41 +336,35 @@ def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None
                     dst += np.multiply(u, part, out=tmp)
 
 
-def _scratch_size(num_qubits: int) -> int:
-    """Amplitudes in the scratch slice: one row slice of one chunk for a
-    one-qubit gate, the largest ``_Layout.scratch_size`` of any gate.  The
-    slice is reshaped to the merged inner dimensions of each step."""
-    return 1 << min(num_qubits - 1, _CHUNK_QUBITS)
-
-
 def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
-    """Run ``steps`` on ``amplitudes``, a writable buffer the caller hands
-    over, and validate the result once.
+    """Run ``steps`` on ``amplitudes`` and validate the result once.
 
-    In-place plans update the buffer itself; the others write a spare
-    buffer, which then trades places with it.  The spare and the scratch
-    slice are allocated once, when a step first needs them, and are released
-    when this returns.  A non-unitary raw ``Gate`` therefore fails here, at
-    the end of the sequence, and only if it leaves the final state
-    unnormalized.
+    A writable ``amplitudes`` is a buffer the caller hands over, and
+    in-place plans update it.  A read-only one, such as a state's
+    amplitudes, is only read: the first step that changes it writes a fresh
+    buffer, and later steps run in place as usual.  The other plans write a
+    spare buffer, which then trades places with the current one; it is
+    allocated when a step first needs it and released when this returns.  A
+    non-unitary raw ``Gate`` therefore fails here, at the end of the
+    sequence, and only if it leaves the final state unnormalized.
     """
-    spare = scratch = None
+    spare = None
     for step in steps:
         plan = step.gate._plan()
         if plan is None:
             continue
-        rows, in_place, needs_scratch = plan
-        if needs_scratch and scratch is None:
-            scratch = np.empty(_scratch_size(num_qubits), dtype=np.complex128)
+        rows, in_place, scratch = plan
         # A gate on every qubit has one-element slices, which numpy scales
         # in place with other rounding than out of place.
-        if in_place and step.gate.arity < num_qubits:
+        if in_place and step.gate.arity < num_qubits and amplitudes.flags.writeable:
             _update(rows, step.targets, amplitudes, amplitudes, scratch)
         else:
             if spare is None:
                 spare = np.empty_like(amplitudes)
-            _update(rows, step.targets, amplitudes, spare, scratch)
-            amplitudes, spare = spare, amplitudes
+            # An in-place plan's scratch is for parking, which out of place
+            # never does.
+            _update(rows, step.targets, amplitudes, spare, scratch and not in_place)
+            amplitudes, spare = spare, (amplitudes if amplitudes.flags.writeable else None)
     return QuantumState(num_qubits, amplitudes, copy=False)
 
 
@@ -390,13 +383,6 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
         raise ValueError(
             f"target qubit {max(targets)} out of range for {n}-qubit state"
         )
-    plan = application.gate._plan()
-    if plan is None:
+    if application.gate._plan() is None:
         return state
-    rows, in_place, needs_scratch = plan
-    out = np.empty(state.dim, dtype=np.complex128)
-    scratch = None
-    if needs_scratch and not in_place:  # an in-place plan's scratch is for parking
-        scratch = np.empty(_scratch_size(n), dtype=np.complex128)
-    _update(rows, targets, state.amplitudes, out, scratch)
-    return QuantumState(n, out, copy=False)
+    return _evolve(state.amplitudes, n, (application,))

@@ -134,15 +134,20 @@ def sample_counts_reference(distribution: np.ndarray, uniforms: np.ndarray) -> d
     return {int(v): int(c) for v, c in zip(values, freq)}
 
 
-def entangled_register(a: int, mod_n: int, t: int, m: int) -> QuantumState:
-    """(1/sqrt(2**t)) sum_x |x>|a**x mod N> with the exponent register on top."""
+def powers_reference(a: int, mod_n: int, t: int) -> np.ndarray:
+    """a**x mod mod_n for every x < 2**t, one Python multiplication per x."""
     values = np.empty(1 << t, dtype=np.intp)
     acc = 1
     for x in range(1 << t):
         values[x] = acc
         acc = acc * a % mod_n
+    return values
+
+
+def entangled_register(a: int, mod_n: int, t: int, m: int) -> QuantumState:
+    """(1/sqrt(2**t)) sum_x |x>|a**x mod N> with the exponent register on top."""
     amps = np.zeros(1 << (t + m), dtype=np.complex128)
-    amps[(np.arange(1 << t) << m) + values] = 1.0 / math.sqrt(1 << t)
+    amps[(np.arange(1 << t) << m) + powers_reference(a, mod_n, t)] = 1.0 / math.sqrt(1 << t)
     return QuantumState(t + m, amps, copy=False)
 
 
@@ -187,12 +192,12 @@ def classical_walk_reference(steps: int) -> np.ndarray:
     return probabilities
 
 
-def update_reference(rows, targets, source: np.ndarray, out: np.ndarray, scratch) -> None:
+def update_reference(rows, targets, source: np.ndarray, out: np.ndarray, scratch: bool) -> None:
     """``gates._update`` on the unmerged ``[2]*n`` view, one axis per qubit.
 
-    Same plan rows, chunk boundary (``gates._CHUNK_QUBITS``, read per call)
-    and per-row ufunc sequence; the axis lists, the transposes and the
-    chunk walk are rebuilt on every call.
+    Same plan rows, scratch flag, chunk boundary (``gates._CHUNK_QUBITS``,
+    read per call) and per-row ufunc sequence; the axis lists, the
+    transposes and the chunk walk are rebuilt on every call.
     """
     n = source.size.bit_length() - 1
     axes = [n - 1 - q for q in targets]
@@ -202,7 +207,7 @@ def update_reference(rows, targets, source: np.ndarray, out: np.ndarray, scratch
     src = source.reshape((2,) * n).transpose(order)
     view = out.reshape((2,) * n).transpose(order)
     inner = len(rest) - len(outer)
-    tmp = None if scratch is None else scratch[: 1 << inner].reshape((2,) * inner)
+    tmp = np.empty((2,) * inner, dtype=np.complex128) if scratch else None
     for chunk in itertools.product((0, 1), repeat=len(outer)):
         chunk_src, chunk_out = src[chunk], view[chunk]
         parked = None

@@ -245,6 +245,16 @@ class TestGateProperties:
         assert apply(state, GateApplication(IDENTITY, (1,))) is state
         assert apply(state, GateApplication(custom_gate(2, np.eye(4)), (2, 0))) is state
 
+    @pytest.mark.parametrize("gate", all_gate_kinds()[1:], ids=lambda g: g.name)
+    def test_input_neither_mutated_nor_aliased(self, gate):
+        """In-place plans too read the input state and write a fresh buffer."""
+        state = from_amplitudes(4, random_state_vector(4, np.random.default_rng(10)))
+        before = state.amplitudes.tobytes()
+        out = apply(state, GateApplication(gate, tuple(range(gate.arity))[::-1]))
+        assert state.amplitudes.tobytes() == before
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert out.amplitudes.flags.owndata and not out.amplitudes.flags.writeable
+
     def test_self_inverse_gates(self):
         rng = np.random.default_rng(7)
         state = from_amplitudes(4, random_state_vector(4, rng))
@@ -363,7 +373,10 @@ class TestSequenceKernel:
         steps = [GateApplication(g, tuple(range(g.arity))[::-1]) for g in all_gate_kinds()]
         state = Circuit(4, tuple(steps + steps)).final_state()
         buffers = [weakref.ref(a) for a in allocated]
-        assert len(buffers) == 2  # one spare, one scratch slice
+        sizes = sorted(a.size for a in allocated)
+        chunk_row = 1 << min(4 - 1, gates._CHUNK_QUBITS)
+        assert sizes[-1] == 2**4  # one spare; the rest are scratch slices
+        assert all(size <= chunk_row for size in sizes[:-1])
         allocated.clear()
         gc.collect()
         amps = state.amplitudes
@@ -393,11 +406,10 @@ class TestKernelAgainstReference:
         ]
         for n in range(1, 6):
             amps = random_state_vector(n, rng)
-            scratch = np.empty(gates._scratch_size(n), dtype=np.complex128)
             for gate in kinds:
                 if gate._plan() is None:
                     continue
-                rows, in_place, _ = gate._plan()
+                rows, in_place, scratch = gate._plan()
                 for targets in itertools.permutations(range(n), gate.arity):
                     got, want = np.empty_like(amps), np.empty_like(amps)
                     gates._update(rows, targets, amps, got, scratch)

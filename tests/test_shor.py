@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brute_force_order, entangled_register, shor_period_reference
+from oracles import brute_force_order, entangled_register, powers_reference, shor_period_reference
 
 from qregsim import (
     RandomSource,
@@ -71,6 +71,15 @@ class TestShorPeriod:
             assert len(computed) == 1
             retried += len(measured) > 1
         assert retried > 0
+
+    @pytest.mark.parametrize("mod_n", [15, 21, 33, 35, 143])
+    def test_powers_by_doubling_equal_the_loop(self, mod_n):
+        t = (mod_n * mod_n - 1).bit_length()
+        for a in range(2, min(mod_n, 36)):
+            if math.gcd(a, mod_n) == 1:
+                got = shor._powers(a, mod_n, t)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, powers_reference(a, mod_n, t))
 
     def test_shared_factor_rejected(self):
         with pytest.raises(ValueError, match="gcd"):
