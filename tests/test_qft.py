@@ -70,7 +70,7 @@ class TestSubRegister:
         np.testing.assert_allclose(transformed.amplitudes, expected, atol=1e-10)
 
     @pytest.mark.parametrize("transform", [qft, inverse_qft])
-    @pytest.mark.parametrize("register", [None, [0, 2, 5], [4, 1], [3]])
+    @pytest.mark.parametrize("register", [[0, 2, 5], [4, 1], [3], None])
     def test_input_neither_mutated_nor_aliased(self, transform, register):
         state = from_amplitudes(6, random_state_vector(6, np.random.default_rng(65)))
         before = state.amplitudes.copy()
