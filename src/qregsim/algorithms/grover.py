@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..measurement import RandomSource, measure_all
-from ..state import QuantumState, _check_num_qubits
+from ..state import QuantumState, _check_num_qubits, _owned
 from ..state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
@@ -95,23 +95,21 @@ def amplify(reference: np.ndarray, marked: np.ndarray, rounds: int) -> np.ndarra
     return amps
 
 
+def _build_uniform_superposition(num_qubits: int) -> QuantumState:
+    dim = 1 << num_qubits
+    return _owned(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+
+
+_uniform_superposition_cached = lru_cache(maxsize=8)(_build_uniform_superposition)
+
+
 def uniform_superposition(num_qubits: int) -> QuantumState:
     """Hadamard on every qubit of |0...0>: amplitude 2**(-n/2) everywhere."""
+    _check_num_qubits(num_qubits)
     # States are immutable, so small ones are shared across callers.
     if num_qubits <= 20:
         return _uniform_superposition_cached(num_qubits)
     return _build_uniform_superposition(num_qubits)
-
-
-@lru_cache(maxsize=8)
-def _uniform_superposition_cached(num_qubits: int) -> QuantumState:
-    return _build_uniform_superposition(num_qubits)
-
-
-def _build_uniform_superposition(num_qubits: int) -> QuantumState:
-    dim = 1 << num_qubits
-    amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    return QuantumState(num_qubits, amps, copy=False)
 
 
 def amplified_state(oracle: Oracle, marked_count: int) -> tuple[QuantumState, int, float]:
@@ -135,7 +133,7 @@ def amplified_state(oracle: Oracle, marked_count: int) -> tuple[QuantumState, in
     k, theta = iteration_count(marked_count, total)
     start = uniform_superposition(n)
     amps = amplify(start.amplitudes, marked, k)
-    state = QuantumState(n, amps, copy=False)
+    state = _owned(n, amps)
     marked_amp = math.sqrt(float(np.sum(np.abs(amps[marked]) ** 2)))
     assert abs(marked_amp - abs(math.sin((2 * k + 1) * theta))) < 1e-9
     return state, k, theta

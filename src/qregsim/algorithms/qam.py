@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..measurement import RandomSource, measure_all
-from ..state import QuantumState
+from ..state import QuantumState, _check_num_qubits, _owned
 from .grover import amplify, iteration_count
 
 
@@ -56,13 +56,10 @@ def qam_store(patterns: Iterable[str]) -> PatternMemory:
         _validate_pattern(pattern, length)
     if len(set(patterns)) != len(patterns):
         raise ValueError("stored patterns must be distinct")
+    _check_num_qubits(length)
     amps = np.zeros(1 << length, dtype=np.complex128)
     amps[[int(p, 2) for p in patterns]] = 1.0 / math.sqrt(len(patterns))
-    return PatternMemory(length, patterns, QuantumState(length, amps, copy=False))
-
-
-def _hamming(a: str, b: str) -> int:
-    return sum(x != y for x, y in zip(a, b))
+    return PatternMemory(length, patterns, _owned(length, amps))
 
 
 def qam_query(
@@ -78,17 +75,16 @@ def qam_query(
     _validate_pattern(query, memory.pattern_length)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    distances = {p: _hamming(p, query) for p in memory.patterns}
-    matches = [p for p, d in distances.items() if d <= radius]
-    if not matches:
+    codes = np.array([int(p, 2) for p in memory.patterns], dtype=np.intp)
+    distances = np.bitwise_count(codes ^ int(query, 2))
+    marked = codes[distances <= radius]
+    if not marked.size:
         raise ValueError(
             f"no stored pattern within distance {radius} of {query!r}; "
-            f"closest is at distance {min(distances.values())}"
+            f"closest is at distance {distances.min()}"
         )
-    k, theta = iteration_count(len(matches), len(memory.patterns))
-    marked = np.array([int(p, 2) for p in matches], dtype=np.intp)
+    k, theta = iteration_count(marked.size, len(memory.patterns))
     amps = amplify(memory.state.amplitudes, marked, k)
-    final = QuantumState(memory.pattern_length, amps, copy=False)
-    outcome, _ = measure_all(final, rng)
+    outcome, _ = measure_all(_owned(memory.pattern_length, amps), rng)
     pattern = format(outcome, f"0{memory.pattern_length}b")
     return QamResult(pattern, math.sin((2 * k + 1) * theta) ** 2)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ..measurement import RandomSource, _draw_index, measure_qubits
-from ..state import QuantumState, get_max_qubits
+from ..state import _owned, get_max_qubits
 from .qft import inverse_qft
 
 #: Measurement retries per base before giving up on order finding.
@@ -99,7 +99,7 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
         comb = np.zeros(1 << t, dtype=np.complex128)
         comb[powers == f] = 1.0 / math.sqrt(1 << t)
         comb /= np.linalg.norm(comb)
-        outcome = measure_qubits(inverse_qft(QuantumState(t, comb, copy=False)), range(t), rng)
+        outcome = measure_qubits(inverse_qft(_owned(t, comb)), range(t), rng)
         y = sum(bit << q for q, bit in outcome.measured_bits.items())
         for r in _convergent_denominators(y, 1 << t, mod_n):
             if pow(a, r, mod_n) == 1:

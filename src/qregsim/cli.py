@@ -140,7 +140,8 @@ def _cmd_qft_demo(args) -> tuple[dict, Iterable[str]]:
     comb = np.zeros(dim)
     comb[:: args.period] = 1.0
     probs = qft(from_amplitudes(n, comb, normalize=True)).probabilities()
-    table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 1e-12}
+    idx = np.flatnonzero(probs > 1e-12)
+    table = dict(zip((format(i, f"0{n}b") for i in idx.tolist()), probs[idx].tolist()))
     doc = {"qubits": n, "period": args.period, "probabilities": table}
     rows = (f"{bits} {p:.6g}" for bits, p in table.items())
     return doc, itertools.chain(_header(doc, "qubits", "period"), rows)

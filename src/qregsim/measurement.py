@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import QuantumState, basis_state
+from .state import QuantumState, _owned, basis_state
 
 #: Second singular value below this means the bipartition factorizes.
 PRODUCT_TOLERANCE = 1e-9
@@ -148,7 +148,7 @@ def _project(state: QuantumState, bits: Mapping[int, int]) -> QuantumState:
         raise ValueError(f"projection onto {dict(bits)} has zero probability")
     amps = np.zeros(state.dim, dtype=np.complex128)
     np.divide(kept, norm, out=amps.reshape((2,) * n)[index])
-    return QuantumState(n, amps, copy=False)
+    return _owned(n, amps)
 
 
 def measure_all(

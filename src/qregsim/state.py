@@ -4,6 +4,11 @@ An n-qubit register holds 2**n complex amplitudes indexed by basis index
 ``i``; bit ``q`` of ``i`` is the value of qubit ``q``, with qubit 0 the
 least-significant (rightmost) position. States are immutable values:
 every operation returns a new state and never mutates its inputs.
+
+Input is checked once, where it enters, and a width against the cap before
+anything is allocated. ``QuantumState(...)`` checks width, shape and norm.
+States the library builds from unit-norm pieces are wrapped by ``_owned``
+unchecked; a gate sequence checks its result once, at the end.
 """
 
 from __future__ import annotations
@@ -49,17 +54,23 @@ def _check_num_qubits(num_qubits: int) -> None:
         )
 
 
+def _check_index(index: int, num_qubits: int) -> None:
+    if not isinstance(index, (int, np.integer)) or not 0 <= index < (1 << num_qubits):
+        raise ValueError(f"basis index {index!r} out of range for {num_qubits} qubits")
+
+
 class QuantumState:
-    """Immutable n-qubit register state: 2**n unit-norm complex amplitudes."""
+    """Immutable n-qubit register state: 2**n unit-norm complex amplitudes.
+
+    Construction checks the width, shape, finiteness and norm of its input
+    (``copy=False`` skips only the copy) and marks the array read-only.
+    """
 
     __slots__ = ("_num_qubits", "_amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes, *, copy: bool = True):
         _check_num_qubits(num_qubits)
-        if copy:
-            amps = np.array(amplitudes, dtype=np.complex128)
-        else:
-            amps = np.asarray(amplitudes, dtype=np.complex128)
+        amps = np.array(amplitudes, dtype=np.complex128, copy=copy or None)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
@@ -93,33 +104,33 @@ class QuantumState:
 
     def probability(self, index: int) -> float:
         """Born probability |c_i|**2 of observing basis index ``index``."""
-        self._check_index(index)
+        _check_index(index, self._num_qubits)
         return float(abs(self._amplitudes[index]) ** 2)
 
     def probabilities(self) -> np.ndarray:
         """All 2**n Born probabilities as a fresh array."""
         return np.abs(self._amplitudes) ** 2
 
-    def _check_index(self, index: int) -> None:
-        if not isinstance(index, (int, np.integer)) or not 0 <= index < self.dim:
-            raise ValueError(
-                f"basis index {index!r} out of range for {self._num_qubits} qubits"
-            )
-
     def __repr__(self) -> str:
         return f"QuantumState(num_qubits={self._num_qubits})"
+
+
+def _owned(num_qubits: int, amps: np.ndarray) -> QuantumState:
+    """Wrap a unit-norm buffer the caller hands over, unchecked and read-only."""
+    amps.flags.writeable = False
+    state = QuantumState.__new__(QuantumState)
+    state._num_qubits = num_qubits
+    state._amplitudes = amps
+    return state
 
 
 def basis_state(num_qubits: int, index: int) -> QuantumState:
     """The computational basis state |index> on ``num_qubits`` qubits."""
     _check_num_qubits(num_qubits)
-    if not isinstance(index, (int, np.integer)) or not 0 <= index < (1 << num_qubits):
-        raise ValueError(
-            f"basis index {index!r} out of range for {num_qubits} qubits"
-        )
+    _check_index(index, num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return QuantumState(num_qubits, amps, copy=False)
+    return _owned(num_qubits, amps)
 
 
 def from_amplitudes(
@@ -133,13 +144,7 @@ def from_amplitudes(
     Out-of-tolerance input is rejected rather than silently rescaled; pass
     ``normalize=True`` to opt in to rescaling by the computed norm.
     """
-    _check_num_qubits(num_qubits)
     amps = np.array(amplitudes, dtype=np.complex128)
-    if amps.shape != (1 << num_qubits,):
-        raise ValueError(
-            f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
-            f"got {amps.size}"
-        )
     if normalize:
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes contain a non-finite entry")
@@ -157,5 +162,4 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     """
     combined = a.num_qubits + b.num_qubits
     _check_num_qubits(combined)
-    amps = np.kron(a.amplitudes, b.amplitudes)
-    return QuantumState(combined, amps, copy=False)
+    return _owned(combined, np.kron(a.amplitudes, b.amplitudes))

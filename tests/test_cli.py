@@ -221,6 +221,15 @@ class TestAlgorithms:
         assert err == "error: num_qubits=39 exceeds the configured cap of 26\n"
         assert peak < 64 * 1024
 
+    def test_qam_register_width_checked_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("0" * 40 + "\n")
+        code, out, err = run_cli(capsys, "qam", "--patterns-file", str(path),
+                                 "--query", "0" * 40, "--radius", "0", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: num_qubits=40 exceeds the configured cap of 26\n"
+
     def test_qam(self, capsys, patterns_file):
         code, out, _ = run_cli(
             capsys, "qam", "--patterns-file", patterns_file,

@@ -54,6 +54,8 @@ class TestOracleEnumeration:
         with pytest.raises(ValueError, match=message):
             grover_search(oracle, 1, RandomSource(0))
         assert calls == []
+        with pytest.raises(ValueError, match=message):
+            uniform_superposition(n)  # checked before the buffer is filled
 
     def test_marked_indices_read_only(self):
         marked = Oracle(4, lambda i: i % 3 == 0).marked_indices()

@@ -1,6 +1,7 @@
 """Tests for pattern storage and amplified retrieval."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ class TestStore:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             qam_store(["21"])
+
+    def test_register_width_checked_before_allocating(self):
+        """A 40-bit pattern needs 40 qubits; the cap fails before 16 TiB is asked for."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="num_qubits=40 exceeds the configured cap"):
+                qam_store(["0" * 40])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestQuery:

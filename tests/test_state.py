@@ -148,6 +148,11 @@ class TestTensor:
         right = tensor(a, tensor(b, c))
         np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-12)
 
+    def test_product_of_states_at_the_tolerance_edge(self):
+        """Each factor passes the norm check, so their product is not re-checked."""
+        edge = from_amplitudes(1, [math.sqrt(1 + 0.9e-9), 0])
+        assert tensor(edge, edge).num_qubits == 2
+
     def test_cap_enforced(self):
         old = qregsim.get_max_qubits()
         try:
