@@ -100,6 +100,9 @@ def _build_uniform_superposition(num_qubits: int) -> QuantumState:
     return _owned(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
+#: Widest register whose uniform superposition (and qrng lookup) is cached.
+_CACHED_QUBITS = 20
+
 _uniform_superposition_cached = lru_cache(maxsize=8)(_build_uniform_superposition)
 
 
@@ -107,7 +110,7 @@ def uniform_superposition(num_qubits: int) -> QuantumState:
     """Hadamard on every qubit of |0...0>: amplitude 2**(-n/2) everywhere."""
     _check_num_qubits(num_qubits)
     # States are immutable, so small ones are shared across callers.
-    if num_qubits <= 20:
+    if num_qubits <= _CACHED_QUBITS:
         return _uniform_superposition_cached(num_qubits)
     return _build_uniform_superposition(num_qubits)
 

@@ -30,6 +30,18 @@ class PatternMemory:
     patterns: tuple[str, ...]
     state: QuantumState
 
+    def _codes(self) -> np.ndarray:
+        """The patterns as integers, in stored order (read-only array).
+
+        Parsed on the first call only, and reused by every query.
+        """
+        codes = self.__dict__.get("_parsed_codes")
+        if codes is None:
+            codes = np.array([int(p, 2) for p in self.patterns], dtype=np.intp)
+            codes.flags.writeable = False
+            object.__setattr__(self, "_parsed_codes", codes)  # the dataclass is frozen
+        return codes
+
 
 class QamResult(NamedTuple):
     pattern: str
@@ -75,7 +87,7 @@ def qam_query(
     _validate_pattern(query, memory.pattern_length)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    codes = np.array([int(p, 2) for p in memory.patterns], dtype=np.intp)
+    codes = memory._codes()
     distances = np.bitwise_count(codes ^ int(query, 2))
     marked = codes[distances <= radius]
     if not marked.size:

@@ -6,8 +6,9 @@ from the most significant down, a Hadamard followed by controlled phase
 rotations pi/2, pi/4, ... conditioned on the lower qubits, finished by a
 qubit-reversal swap stage.  Each ladder, forward and inverse, is built
 once per register and reused, so its gates keep their kernel plans.  A
-transform runs its ladder through the gate-sequence driver, which only
-reads the input state: the first Hadamard writes a fresh buffer.
+transform runs its ladder through the gate-sequence driver, which copies
+the input state once, before the first Hadamard, and runs every step in
+place in that copy.
 """
 
 from __future__ import annotations

@@ -8,10 +8,20 @@ qubit) can produce arbitrarily many bits.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..measurement import _SHOT_BATCH, RandomSource, _inverse_cdf
 from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import get_max_qubits
-from .grover import uniform_superposition
+from .grover import _CACHED_QUBITS, uniform_superposition
+
+
+def _build_round_lookup(chunk: int):
+    return _inverse_cdf(uniform_superposition(chunk).probabilities())
+
+
+# The lookup's CDF is read-only, so small ones are shared across calls.
+_round_lookup_cached = lru_cache(maxsize=8)(_build_round_lookup)
 
 
 def qrng(num_bits: int, chunk: int, rng: RandomSource) -> int:
@@ -31,7 +41,10 @@ def qrng(num_bits: int, chunk: int, rng: RandomSource) -> int:
     # Every round measures the same prepared state, and its post-state is
     # never read, so each round is one uniform through one shared CDF,
     # drawn in batches of the same stream that one draw per round reads.
-    lookup = _inverse_cdf(uniform_superposition(chunk).probabilities())
+    if chunk <= _CACHED_QUBITS:
+        lookup = _round_lookup_cached(chunk)
+    else:
+        lookup = _build_round_lookup(chunk)
     value = 0
     for start in range(0, rounds, _SHOT_BATCH):
         outcomes = lookup(rng.uniforms(min(_SHOT_BATCH, rounds - start)))

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ..measurement import RandomSource, _draw_index, measure_qubits
+from ..measurement import RandomSource, _inverse_cdf, measure_qubits
 from ..state import _owned, get_max_qubits
 from .qft import inverse_qft
 
@@ -93,9 +93,9 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
         raise ValueError(f"gcd({a}, {mod_n}) != 1: base shares a factor with the modulus")
     t = _exponent_width(mod_n)
     powers = _powers(a, mod_n, t)
-    function_distribution = np.bincount(powers) / (1 << t)
+    draw_f = _inverse_cdf(np.bincount(powers) / (1 << t))
     for _ in range(PERIOD_RETRY_CAP):
-        f = _draw_index(function_distribution, rng.uniform())
+        f = int(draw_f(rng.uniform()))
         comb = np.zeros(1 << t, dtype=np.complex128)
         comb[powers == f] = 1.0 / math.sqrt(1 << t)
         comb /= np.linalg.norm(comb)

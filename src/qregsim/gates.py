@@ -11,8 +11,9 @@ The kernel keeps that axis order but merges each run of adjacent non-target
 axes into one dimension, with the view's shape, transpose and chunk walk
 computed once per target tuple and register width.  One driver runs every
 gate sequence, from a single ``apply`` to a whole circuit or transform: it
-only reads a caller's read-only amplitudes, evolves a buffer of its own, in
-place where the gate allows, and validates the state once at the end.
+copies a caller's read-only amplitudes once, updates that one buffer in
+place for every gate, with a scratch buffer of a few chunk rows, and
+validates the state once at the end.
 """
 
 from __future__ import annotations
@@ -34,8 +35,28 @@ UNITARY_TOLERANCE = 1e-12
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 #: Non-target qubits per kernel chunk: 2**14 amplitudes (256 KiB) per row
-#: slice, so a chunk's slices and the scratch slice fit in a 2 MiB L2 cache.
+#: slice, so a one-qubit gate's chunk and scratch rows fit in a 2 MiB L2 cache.
 _CHUNK_QUBITS = 14
+
+
+class _Plan(NamedTuple):
+    """How ``_update`` applies one gate in place.
+
+    ``rows`` lists each row the gate writes, with its nonzero (column,
+    entry) terms; identity rows are skipped, and an all-zero row keeps one
+    zero term.  Indices are bit tuples with a trailing Ellipsis, so they
+    index views even when the gate spans every axis.  ``parked`` lists the
+    rows copied to scratch before any row is written: those another row
+    reads and those a multi-term row reads.  A row that only scales itself
+    is updated where it is.  ``reads`` lists every row a written row reads,
+    which a gate on every qubit parks instead, and ``products`` says whether
+    a multi-term row needs a scratch row for its scaled terms.
+    """
+
+    rows: tuple[tuple[tuple, tuple[tuple[tuple, complex], ...]], ...]
+    parked: tuple[tuple, ...]
+    reads: tuple[tuple, ...]
+    products: bool
 
 
 class Gate:
@@ -69,53 +90,32 @@ class Gate:
     def __setattr__(self, key, value):
         raise AttributeError("Gate instances are immutable")
 
-    def _plan(self):
+    def _plan(self) -> _Plan | None:
         """How the kernel applies this gate; None for the identity.
 
-        Otherwise ``(rows, in_place, scratch)``.  Each row holds its index,
-        its nonzero (column, entry) terms and whether it is parked: copied to
-        scratch before an in-place update overwrites it, because a later row
-        reads it.  Indices are bit tuples with a trailing Ellipsis, so they
-        index views even when the gate spans every axis; an all-zero row
-        keeps one zero term.  A gate runs in place when each row has one
-        term, moved rows have unit entries (a permutation, with phases only
-        on the rows it keeps), each parked row is read back before the next
-        is parked, so one scratch slice holds it, and the identity rows it
-        skips outnumber the rows it parks.  Any other gate writes a second
-        buffer.  ``scratch`` says whether the plan uses the scratch slice.
         Built on first use, so gates never applied cost nothing here.
         """
         if not hasattr(self, "_kernel_plan"):
             object.__setattr__(self, "_kernel_plan", self._build_plan())
         return self._kernel_plan
 
-    def _build_plan(self):
+    def _build_plan(self) -> _Plan | None:
         terms = [
-            [(c, u) for c, u in enumerate(row) if u] or [(r, 0)]
+            tuple((c, u) for c, u in enumerate(row) if u) or ((r, 0),)
             for r, row in enumerate(self.matrix.tolist())
         ]
-        skipped = sum(t == [(r, 1)] for r, t in enumerate(terms))
-        if skipped == len(terms):
+        written = [r for r, t in enumerate(terms) if t != ((r, 1),)]
+        if not written:
             return None
-        monomial = all(len(t) == 1 for t in terms)
-        last_read = {c: r for r, t in enumerate(terms) for c, _ in t}
-        spans = [(r, last_read[r]) for r in range(len(terms)) if last_read.get(r, r) > r]
-        # numpy scales a slice read from elsewhere in the same buffer with
-        # other rounding than one read from another buffer, so in place every
-        # moved slice must be a plain copy.
-        in_place = (
-            monomial
-            and all(t[0][0] == r or t[0][1] == 1 for r, t in enumerate(terms))
-            and len(spans) < skipped
-            and all(end < start for (_, end), (start, _) in zip(spans, spans[1:]))
-        )
-        parked = {r for r, _ in spans} if in_place else set()
+        reads = {c for r in written for c, _ in terms[r]}
+        parked = {c for r in written for c, _ in terms[r] if c != r or len(terms[r]) > 1}
         bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
-        rows = tuple(
-            (bits[r], [(bits[c], u) for c, u in t], r in parked)
-            for r, t in enumerate(terms)
+        return _Plan(
+            rows=tuple((bits[r], tuple((bits[c], u) for c, u in terms[r])) for r in written),
+            parked=tuple(bits[c] for c in sorted(parked)),
+            reads=tuple(bits[c] for c in sorted(reads)),
+            products=any(len(terms[r]) > 1 for r in written),
         )
-        return rows, in_place, bool(parked) or not monomial
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -287,84 +287,73 @@ def _layout(targets: tuple[int, ...], num_qubits: int, chunk_qubits: int) -> _La
     return _Layout(tuple(shape), tuple(order), chunks, scratch_shape)
 
 
-def _update(rows, targets, source: np.ndarray, out: np.ndarray, scratch: bool) -> None:
-    """Write one gate plan applied to ``source`` into ``out``, unvalidated.
+def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
+    """Apply one gate plan to ``amps`` in place, unvalidated.
 
-    On the ``[2]*n`` view, each output slice of the target axes sums input
-    slices weighted by a matrix row; unit entries are slice copies.  ``out``
-    is another buffer, or ``source`` itself for an in-place plan: identity
-    rows are then skipped and parked rows read back from the scratch slice.
-    With ``scratch`` true, that slice (one row slice of one chunk, which
-    also holds the scaled terms of a multi-term row) is allocated here and
-    released on return.  The view comes from ``_layout``: qubit ``q`` stays on
-    axis ``n-1-q``, but runs of adjacent non-target axes are merged, so each
+    On the ``[2]*n`` view, each row slice of the target axes becomes the sum
+    of the row slices its matrix row reads, weighted by the entries; unit
+    entries are slice copies.  Per chunk, the parked rows are copied to a
+    scratch buffer first, so every row is written from scratch or, when it
+    only scales itself, where it is.  The scratch holds the parked rows of
+    one chunk plus, for a multi-term row, one row for its scaled terms: at
+    most 2**k + 1 chunk rows for a k-qubit gate, allocated here and released
+    on return.  The view comes from ``_layout``: qubit ``q`` stays on axis
+    ``n-1-q``, but runs of adjacent non-target axes are merged, so each
     slice has at most one dimension per run instead of one per qubit.
     Non-target axes above the lowest ``_CHUNK_QUBITS`` are walked one chunk
     at a time, so the passes over one chunk's slices run in cache instead of
     streaming the whole state once per pass.
     """
-    layout = _layout(targets, source.size.bit_length() - 1, _CHUNK_QUBITS)
-    in_place = out is source
-    src = source.reshape(layout.shape).transpose(layout.order)
-    view = src if in_place else out.reshape(layout.shape).transpose(layout.order)
-    tmp = np.empty(layout.scratch_shape, dtype=np.complex128) if scratch else None
+    layout = _layout(targets, amps.size.bit_length() - 1, _CHUNK_QUBITS)
+    # A gate on every qubit has one-amplitude slices, which numpy scales in
+    # place with other rounding than out of place, so it parks every row it
+    # reads.
+    parked = plan.parked if layout.scratch_shape else plan.reads
+    view = amps.reshape(layout.shape).transpose(layout.order)
+    saved, product = {}, None
+    if parked:
+        shape = (len(parked) + plan.products, *layout.scratch_shape)
+        scratch = np.empty(shape, dtype=np.complex128)
+        saved = {r: scratch[i, ...] for i, r in enumerate(parked)}
+        if plan.products:
+            product = scratch[-1, ...]
     for chunk in layout.chunks:
-        chunk_src, chunk_out = src[chunk], view[chunk]
-        parked = None
-        for r, terms, park in rows:
-            if in_place and terms == [(r, 1)]:
-                continue
-            dst = chunk_out[r]
-            if in_place and park:
-                tmp[...] = dst
-                parked = r
+        block = view[chunk]
+        for r, row in saved.items():
+            row[...] = block[r]
+        for r, terms in plan.rows:
+            dst = block[r]
             for j, (c, u) in enumerate(terms):
-                part = tmp if c == parked else chunk_src[c]
+                part = saved[c] if c in saved else block[c]
                 if j == 0:
-                    if u == 1 and part is not tmp and in_place:
-                        # Slice assignment between interleaved views of one
-                        # buffer goes through a slice-sized temporary; a
-                        # ufunc copy does not.
-                        np.positive(part, out=dst)
-                    elif u == 1:
+                    if u == 1:
                         dst[...] = part
                     else:
                         np.multiply(part, u, out=dst)
                 elif u == 1:
                     dst += part
                 else:
-                    dst += np.multiply(u, part, out=tmp)
+                    dst += np.multiply(u, part, out=product)
 
 
 def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
-    """Run ``steps`` on ``amplitudes`` and validate the result once.
+    """Run ``steps`` on ``amplitudes`` in place and validate the result once.
 
-    A writable ``amplitudes`` is a buffer the caller hands over, and
-    in-place plans update it.  A read-only one, such as a state's
-    amplitudes, is only read: the first step that changes it writes a fresh
-    buffer, and later steps run in place as usual.  The other plans write a
-    spare buffer, which then trades places with the current one; it is
-    allocated when a step first needs it and released when this returns.  A
-    non-unitary raw ``Gate`` therefore fails here, at the end of the
-    sequence, and only if it leaves the final state unnormalized.
+    A writable ``amplitudes`` is a buffer the caller hands over.  A
+    read-only one, such as a state's amplitudes, is copied once, before the
+    first step that changes it, so the caller's array is never written.
+    Every step then updates that one buffer.  A non-unitary raw ``Gate``
+    therefore fails here, at the end of the sequence, and only if it leaves
+    the final state unnormalized.
     """
-    spare = None
+    owned = amplitudes.flags.writeable
     for step in steps:
         plan = step.gate._plan()
         if plan is None:
             continue
-        rows, in_place, scratch = plan
-        # A gate on every qubit has one-element slices, which numpy scales
-        # in place with other rounding than out of place.
-        if in_place and step.gate.arity < num_qubits and amplitudes.flags.writeable:
-            _update(rows, step.targets, amplitudes, amplitudes, scratch)
-        else:
-            if spare is None:
-                spare = np.empty_like(amplitudes)
-            # An in-place plan's scratch is for parking, which out of place
-            # never does.
-            _update(rows, step.targets, amplitudes, spare, scratch and not in_place)
-            amplitudes, spare = spare, (amplitudes if amplitudes.flags.writeable else None)
+        if not owned:
+            amplitudes, owned = amplitudes.copy(), True
+        _update(plan, step.targets, amplitudes)
     return QuantumState(num_qubits, amplitudes, copy=False)
 
 

@@ -125,9 +125,14 @@ def marginal_distribution(state: QuantumState, qubits: Sequence[int]) -> np.ndar
 
 
 def _inverse_cdf(distribution: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Map uniforms in [0, 1) to indices in basis order; zero-probability bins unreachable."""
-    cum = np.cumsum(distribution)
+    """Map uniforms in [0, 1) to indices in basis order; zero-probability bins unreachable.
+
+    Takes over ``distribution``, a fresh array: the CDF is built in place
+    in it and marked read-only, so a lookup can be shared.
+    """
+    cum = np.add.accumulate(distribution, out=distribution)
     cum /= cum[-1]
+    cum.setflags(write=False)
     return functools.partial(cum.searchsorted, side="right")
 
 

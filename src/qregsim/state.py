@@ -109,7 +109,8 @@ class QuantumState:
 
     def probabilities(self) -> np.ndarray:
         """All 2**n Born probabilities as a fresh array."""
-        return np.abs(self._amplitudes) ** 2
+        probs = np.abs(self._amplitudes)
+        return np.square(probs, out=probs)
 
     def __repr__(self) -> str:
         return f"QuantumState(num_qubits={self._num_qubits})"

@@ -192,39 +192,31 @@ def classical_walk_reference(steps: int) -> np.ndarray:
     return probabilities
 
 
-def update_reference(rows, targets, source: np.ndarray, out: np.ndarray, scratch: bool) -> None:
+def update_reference(plan, targets, amps: np.ndarray) -> None:
     """``gates._update`` on the unmerged ``[2]*n`` view, one axis per qubit.
 
-    Same plan rows, scratch flag, chunk boundary (``gates._CHUNK_QUBITS``,
-    read per call) and per-row ufunc sequence; the axis lists, the
+    Same plan rows, chunk boundary (``gates._CHUNK_QUBITS``, read per call)
+    and per-row ufunc sequence, but out of place: every term is read from a
+    copy of the whole input, so nothing is parked.  The axis lists, the
     transposes and the chunk walk are rebuilt on every call.
     """
-    n = source.size.bit_length() - 1
+    source = amps.copy()
+    n = amps.size.bit_length() - 1
     axes = [n - 1 - q for q in targets]
     rest = [a for a in range(n) if a not in axes]
     outer = rest[: max(0, len(rest) - gates._CHUNK_QUBITS)]
     order = outer + axes + rest[len(outer):]
     src = source.reshape((2,) * n).transpose(order)
-    view = out.reshape((2,) * n).transpose(order)
-    inner = len(rest) - len(outer)
-    tmp = np.empty((2,) * inner, dtype=np.complex128) if scratch else None
+    view = amps.reshape((2,) * n).transpose(order)
+    tmp = np.empty((2,) * (len(rest) - len(outer)), dtype=np.complex128)
     for chunk in itertools.product((0, 1), repeat=len(outer)):
         chunk_src, chunk_out = src[chunk], view[chunk]
-        parked = None
-        for r, terms, park in rows:
+        for r, terms in plan.rows:
             dst = chunk_out[r]
-            if out is source:
-                if terms == [(r, 1)]:
-                    continue
-                if park:
-                    tmp[...] = dst
-                    parked = r
             for j, (c, u) in enumerate(terms):
-                part = tmp if c == parked else chunk_src[c]
+                part = chunk_src[c]
                 if j == 0:
-                    if u == 1 and part is not tmp and out is source:
-                        np.positive(part, out=dst)
-                    elif u == 1:
+                    if u == 1:
                         dst[...] = part
                     else:
                         np.multiply(part, u, out=dst)

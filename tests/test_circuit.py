@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peak_memory import PeakMemory, peak_over_state
 from qregsim import (
     CNOT,
     HADAMARD,
     Circuit,
     CircuitParseError,
     GateApplication,
+    apply,
     controlled_phase,
+    from_amplitudes,
     get_max_qubits,
     parse_circuit,
     phase_shift,
@@ -25,6 +28,7 @@ from qregsim import (
 )
 from qregsim import circuit as circuit_mod
 from qregsim import gates
+from qregsim.algorithms import inverse_qft, qft
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure all\n"
 
@@ -264,29 +268,39 @@ def _every_mnemonic_text(rnd, n, h_layer):
     return "\n".join(lines) + "\nmeasure all\n"
 
 
-def _peak_over_state(fn, num_qubits):
-    """tracemalloc peak while ``fn`` runs, over the bytes of one state."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak / (16 << num_qubits)
-
-
 class TestMemory:
-    """Evolution holds the state, one spare and a chunk-sized scratch slice."""
+    """Evolution holds one state plus chunk-bounded scratch; sampling adds one
+    probability array (half a state) and the shot batch."""
 
     N = 18
-    BOUND = 2.6
+    # At most three chunk rows of scratch (an h parks two rows and keeps one
+    # for its scaled terms) and numpy's 256 KiB of ufunc iteration buffers,
+    # whatever the register width: 0.25 of an 18-qubit state.
+    SCRATCH = ((3 << gates._CHUNK_QUBITS) * 16 + (256 << 10)) / (16 << N)
+    BOUND = 1.0 + SCRATCH + 0.01
+    # The state and its probabilities, then the batch of 2^16 shots being
+    # counted: about 36 B a shot, 48 B allowed.
+    RUN_BOUND = 1.5 + (1 << 16) * 48 / (16 << N)
 
     @pytest.mark.parametrize("k", range(3))
     def test_peak_within_bound(self, k):
         circuit = parse_circuit(_every_mnemonic_text(random.Random(k), self.N, 4))
-        assert _peak_over_state(circuit.final_state, self.N) <= self.BOUND
-        assert _peak_over_state(lambda: run_circuit(circuit, 1 << 16, k), self.N) <= self.BOUND
+        assert peak_over_state(circuit.final_state, self.N) <= self.BOUND
+        assert peak_over_state(lambda: run_circuit(circuit, 1 << 16, k), self.N) <= self.RUN_BOUND
+
+    @pytest.mark.parametrize("transform", [
+        pytest.param(lambda s: qft(s), id="qft"),
+        pytest.param(lambda s: inverse_qft(s, [0, 3, 5, 17]), id="inverse_qft"),
+        pytest.param(lambda s: apply(s, GateApplication(HADAMARD, (0,))), id="apply-h"),
+        pytest.param(lambda s: apply(s, GateApplication(controlled_phase(0.3), (5, 6))),
+                     id="apply-cphase"),
+    ])
+    def test_read_only_input_is_copied_once(self, transform):
+        rng = np.random.default_rng(17)
+        amps = rng.normal(size=1 << self.N) + 1j * rng.normal(size=1 << self.N)
+        state = from_amplitudes(self.N, amps, normalize=True)
+        transform(state)  # builds the cached ladder and layouts
+        assert peak_over_state(lambda: transform(state), self.N) <= self.BOUND
 
     def test_bound_catches_a_kept_copy(self, monkeypatch):
         circuit = parse_circuit(_every_mnemonic_text(random.Random(0), self.N, 4))
@@ -297,7 +311,7 @@ class TestMemory:
             return evolve(amplitudes, num_qubits, steps)
 
         monkeypatch.setattr(gates, "_evolve", keeping_a_copy)
-        assert _peak_over_state(circuit.final_state, self.N) > self.BOUND
+        assert peak_over_state(circuit.final_state, self.N) > self.BOUND
 
     def test_buffers_released_before_sampling(self, monkeypatch):
         circuit = parse_circuit(_every_mnemonic_text(random.Random(1), self.N, 4))
@@ -309,13 +323,9 @@ class TestMemory:
             return sample_counts(*args, **kwargs)
 
         monkeypatch.setattr(circuit_mod, "sample_counts", sampling)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with PeakMemory() as traced:
             run_circuit(circuit, 1 << 10, 5)
-        finally:
-            tracemalloc.stop()
-        assert (held[0] - base) / (16 << self.N) <= 1.05
+        assert (held[0] - traced.base) / (16 << self.N) <= 1.05
 
     def test_register_over_cap_is_rejected(self):
         circuit = Circuit(4, (GateApplication(HADAMARD, (3,)),))

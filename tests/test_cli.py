@@ -6,9 +6,10 @@ import pathlib
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import pytest
+
+from peak_memory import PeakMemory
 
 import qregsim
 from qregsim import cli
@@ -210,16 +211,12 @@ class TestAlgorithms:
         assert abs(sum(payload["quantum"]) - 1.0) < 1e-9
 
     def test_walk_register_width_checked_before_allocating(self, capsys):
-        tracemalloc.start()
-        try:
+        with PeakMemory() as traced:
             code, out, err = run_cli(capsys, "walk", "--steps", "100000000000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert code == 2
         assert out == ""
         assert err == "error: num_qubits=39 exceeds the configured cap of 26\n"
-        assert peak < 64 * 1024
+        assert traced.peak < 64 * 1024
 
     def test_qam_register_width_checked_before_allocating(self, capsys, tmp_path):
         path = tmp_path / "wide.txt"

@@ -284,16 +284,36 @@ class TestGateProperties:
         assert abs(norm - 1.0) < 1e-9
 
 
+def _row_numbers(indices):
+    """Plan row indices (bit tuples ending in Ellipsis) as matrix row numbers."""
+    return [int("".join(str(b) for b in index[:-1]), 2) for index in indices]
+
+
 class TestSequenceKernel:
-    """Circuit.final_state evolves one owned buffer, in place where it can."""
+    """Circuit.final_state evolves one owned buffer in place."""
+
+    # Per kind: the rows its plan writes, and the rows it parks.
+    ROWS = {
+        "x": ([0, 1], [0, 1]), "h": ([0, 1], [0, 1]), "phase": ([1], []),
+        "cnot": ([2, 3], [2, 3]), "cphase": ([3], []), "swap": ([1, 2], [1, 2]),
+        "toffoli": ([6, 7], [6, 7]), "fredkin": ([5, 6], [5, 6]),
+    }
 
     @pytest.mark.parametrize(
-        "gate,in_place",
+        "gate,skips_rows",
         [(NOT, False), (HADAMARD, False), (phase_shift(0.3), True), (CNOT, True),
          (controlled_phase(0.3), True), (EXCHANGE, True), (TOFFOLI, True), (FREDKIN, True)],
     )
-    def test_strategy_per_kind(self, gate, in_place):
-        assert gate._plan()[1] is in_place
+    def test_strategy_per_kind(self, gate, skips_rows):
+        """Identity rows are skipped; a row another row reads, or a
+        multi-term row reads, is parked; a row that only scales itself is not."""
+        plan = gate._plan()
+        written, parked = self.ROWS[gate.name]
+        assert (len(plan.rows) < 1 << gate.arity) is skips_rows
+        assert _row_numbers(r for r, _ in plan.rows) == written
+        assert _row_numbers(plan.parked) == parked
+        assert _row_numbers(plan.reads) == written
+        assert plan.products is (gate is HADAMARD)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -335,7 +355,8 @@ class TestSequenceKernel:
 
     def test_monomial_custom_gates_match_apply_and_embedding(self):
         """Every parking pattern the planner meets, bit for bit against the
-        out-of-place apply and to rounding against the dense product."""
+        out-of-place reference and apply, and to rounding against the dense
+        product."""
         rng = np.random.default_rng(45)
         n = 5
         amps = random_state_vector(n, rng)
@@ -346,15 +367,20 @@ class TestSequenceKernel:
             gate = custom_gate(arity, _random_monomial(arity, rng))
             if gate._plan() is None:
                 continue
-            seen.add(gate._plan()[1])
+            seen.add(bool(gate._plan().parked))
             step = GateApplication(gate, tuple(int(q) for q in rng.permutation(n)[:arity]))
             got = gates._evolve(amps.copy(), n, [step]).amplitudes
+            want = amps.copy()
+            update_reference(gate._plan(), step.targets, want)
+            assert got.tobytes() == want.tobytes()
             assert got.tobytes() == apply(start, step).amplitudes.tobytes()
             np.testing.assert_allclose(got, kron_embed(matrix_of(gate), step.targets, n) @ amps,
                                        atol=1e-12)
         assert seen == {True, False}
 
     def test_result_owns_read_only_amplitudes_and_buffers_are_released(self, monkeypatch):
+        """The kernel allocates only chunk-row scratch, never a second state."""
+        monkeypatch.setattr(gates, "_CHUNK_QUBITS", 1)
         allocated = []
 
         class RecordingNumpy:
@@ -371,17 +397,18 @@ class TestSequenceKernel:
 
         monkeypatch.setattr(gates, "np", RecordingNumpy())
         steps = [GateApplication(g, tuple(range(g.arity))[::-1]) for g in all_gate_kinds()]
-        state = Circuit(4, tuple(steps + steps)).final_state()
+        start = basis_state(6, 0)
+        state = Circuit(6, tuple(steps + steps)).final_state()
+        copied = apply(start, GateApplication(HADAMARD, (0,)))
         buffers = [weakref.ref(a) for a in allocated]
-        sizes = sorted(a.size for a in allocated)
-        chunk_row = 1 << min(4 - 1, gates._CHUNK_QUBITS)
-        assert sizes[-1] == 2**4  # one spare; the rest are scratch slices
-        assert all(size <= chunk_row for size in sizes[:-1])
+        # An h parks two chunk rows and keeps one for its scaled terms.
+        assert allocated and max(a.size for a in allocated) <= 3 * 2**gates._CHUNK_QUBITS
+        assert not start.amplitudes.flags.writeable and start.probability(0) == 1.0
         allocated.clear()
         gc.collect()
-        amps = state.amplitudes
-        assert amps.flags.owndata and not amps.flags.writeable
-        assert all(ref() is None or ref() is amps for ref in buffers)
+        for amps in (state.amplitudes, copied.amplitudes):
+            assert amps.flags.owndata and not amps.flags.writeable
+        assert all(ref() is None for ref in buffers)
 
     def test_non_unitary_gate_fails_at_the_end_of_the_sequence(self):
         doubling = Gate("double", 1, np.diag([2.0, 2.0]))
@@ -407,19 +434,32 @@ class TestKernelAgainstReference:
         for n in range(1, 6):
             amps = random_state_vector(n, rng)
             for gate in kinds:
-                if gate._plan() is None:
+                plan = gate._plan()
+                if plan is None:
                     continue
-                rows, in_place, scratch = gate._plan()
                 for targets in itertools.permutations(range(n), gate.arity):
-                    got, want = np.empty_like(amps), np.empty_like(amps)
-                    gates._update(rows, targets, amps, got, scratch)
-                    update_reference(rows, targets, amps, want, scratch)
+                    got, want = amps.copy(), amps.copy()
+                    gates._update(plan, targets, got)
+                    update_reference(plan, targets, want)
                     assert got.tobytes() == want.tobytes(), (n, targets)
-                    if in_place:
-                        got, want = amps.copy(), amps.copy()
-                        gates._update(rows, targets, got, got, scratch)
-                        update_reference(rows, targets, want, want, scratch)
-                        assert got.tobytes() == want.tobytes(), (n, targets)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_diagonal_gates_on_every_qubit_bit_identical(self, arity):
+        """One-amplitude slices: numpy scales those in place with other
+        rounding than out of place, so the kernel must park them."""
+        rng = np.random.default_rng(75 + arity)
+        kinds = [custom_gate(arity, np.diag(np.exp(1j * rng.uniform(-3, 3, 1 << arity))))
+                 for _ in range(8)]
+        kinds += [phase_shift(rng.uniform(-3, 3)) for _ in range(8)] if arity == 1 else []
+        kinds += [controlled_phase(rng.uniform(-3, 3)) for _ in range(8)] if arity == 2 else []
+        for gate in kinds:
+            for targets in itertools.permutations(range(arity)):
+                for _ in range(8):
+                    amps = random_state_vector(arity, rng)
+                    got, want = amps.copy(), amps.copy()
+                    gates._update(gate._plan(), targets, got)
+                    update_reference(gate._plan(), targets, want)
+                    assert got.tobytes() == want.tobytes(), (gate, targets)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_qft_ladders_bit_identical(self, monkeypatch, n):
@@ -447,7 +487,7 @@ class TestLayout:
 
         monkeypatch.setattr(gates, "_layout", recording_layout)
         amps = random_state_vector(6, np.random.default_rng(90))
-        gates._update(NOT._plan()[0], (2,), amps, np.empty_like(amps), None)
+        gates._update(NOT._plan(), (2,), amps)
         assert [len(u.chunks) for u in used] == [chunks]
 
     def test_repeated_transform_adds_no_layout(self):

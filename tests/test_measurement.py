@@ -2,11 +2,11 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from peak_memory import PeakMemory
 from oracles import (
     bipartition_singular_values,
     marginal_distribution_reference,
@@ -240,15 +240,11 @@ class TestSampleCounts:
         monkeypatch.setattr(measurement, "_SHOT_BATCH", batch)
         state = from_amplitudes(4, random_state_vector(4, np.random.default_rng(28)))
         for shots in (batch, 1 << 16):
-            tracemalloc.start()
-            try:
+            with PeakMemory() as traced:
                 sample_counts(state, shots, RandomSource(1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
             # About 30 B per shot of one batch; all 2^16 uniforms at once
             # would take 512 KiB alone.
-            assert peak < 64 * batch
+            assert traced.peak < 64 * batch
 
 
 class TestIsProduct:

@@ -1,13 +1,15 @@
 """Tests for pattern storage and amplified retrieval."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from peak_memory import PeakMemory
+
 from qregsim import RandomSource
 from qregsim.algorithms import qam_query, qam_store, uniform_superposition
+from qregsim.algorithms.qam import PatternMemory
 
 TRIPLE_PATTERNS = ("00000", "10000", "11111")
 
@@ -64,14 +66,10 @@ class TestStore:
 
     def test_register_width_checked_before_allocating(self):
         """A 40-bit pattern needs 40 qubits; the cap fails before 16 TiB is asked for."""
-        tracemalloc.start()
-        try:
+        with PeakMemory() as traced:
             with pytest.raises(ValueError, match="num_qubits=40 exceeds the configured cap"):
                 qam_store(["0" * 40])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
 
 
 class TestQuery:
@@ -114,6 +112,23 @@ class TestQuery:
         memory = qam_store(TRIPLE_PATTERNS)
         with pytest.raises(ValueError, match="distance 1"):
             qam_query(memory, "01111", 0, RandomSource(0))
+
+    def test_codes_parsed_once_per_memory(self, monkeypatch):
+        memory = qam_store(["0110", "1111", "0001"])
+        parsed = []
+        codes_of = PatternMemory._codes
+
+        def recording(self):
+            parsed.append("_parsed_codes" not in self.__dict__)
+            return codes_of(self)
+
+        monkeypatch.setattr(PatternMemory, "_codes", recording)
+        for seed in range(3):
+            qam_query(memory, "0111", 1, RandomSource(seed))
+        assert parsed == [True, False, False]
+        codes = memory._codes()
+        assert codes.tolist() == [0b0110, 0b1111, 0b0001]
+        assert not codes.flags.writeable
 
     def test_query_length_validated(self):
         memory = qam_store(TRIPLE_PATTERNS)

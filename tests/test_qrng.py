@@ -86,3 +86,23 @@ class TestUniformity:
         rng = RandomSource(19)
         values = [qrng(1, 1, rng) for _ in range(20_000)]
         assert abs(sum(values) / 20_000 - 0.5) < 5 * (0.25 / 20_000) ** 0.5
+
+
+class TestLookupCache:
+    def test_lookup_built_once_per_chunk_width_and_read_only(self):
+        qrng(4, 4, RandomSource(0))
+        before = qrng_module._round_lookup_cached.cache_info()
+        qrng(8, 4, RandomSource(1))
+        after = qrng_module._round_lookup_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        cdf = qrng_module._round_lookup_cached(4).func.__self__
+        with pytest.raises(ValueError, match="read-only"):
+            cdf[0] = 0.5
+
+    def test_chunks_above_the_cached_width_build_their_own(self, monkeypatch):
+        monkeypatch.setattr(qrng_module, "_CACHED_QUBITS", 2)
+        before = qrng_module._round_lookup_cached.cache_info()
+        for seed in range(5):
+            fast, slow = RandomSource(seed), RandomSource(seed)
+            assert qrng(9, 3, fast) == qrng_reference(9, 3, slow)
+        assert qrng_module._round_lookup_cached.cache_info() == before

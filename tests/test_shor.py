@@ -2,11 +2,11 @@
 
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from peak_memory import PeakMemory
 from oracles import brute_force_order, entangled_register, powers_reference, shor_period_reference
 
 from qregsim import (
@@ -147,14 +147,14 @@ class TestExponentRegisterOnly:
         t = (mod_n * mod_n - 1).bit_length()
         drawn = {}
 
-        def draw(distribution, u):
+        def inverse_cdf(distribution):
             drawn["distribution"] = distribution
-            return drawn["f"]
+            return lambda u: drawn["f"]
 
         def capture(state):
             raise _Captured(state.amplitudes)
 
-        monkeypatch.setattr(shor, "_draw_index", draw)
+        monkeypatch.setattr(shor, "_inverse_cdf", inverse_cdf)
         monkeypatch.setattr(shor, "inverse_qft", capture)
         for a in range(2, mod_n):
             if math.gcd(a, mod_n) != 1:
@@ -183,14 +183,10 @@ class TestExponentRegisterOnly:
         # Warm up first: one-time imports and the cached 15-qubit ladder are
         # not per-call memory.
         shor_period(2, 143, RandomSource(1))
-        tracemalloc.start()
-        try:
+        with PeakMemory() as traced:
             assert shor_period(2, 143, RandomSource(1)) == 60
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # 8 x the 2**15-amplitude state.
-        assert peak < 8 * (1 << 15) * 16
+        assert traced.peak < 8 * (1 << 15) * 16
 
     def test_cap_counts_the_exponent_qubits_alone(self):
         old = get_max_qubits()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from peak_memory import peak_over_state
+
 import qregsim
 from qregsim import QuantumState, basis_state, from_amplitudes, tensor
 
@@ -182,6 +184,19 @@ class TestProbability:
     def test_out_of_range(self, plus_state):
         with pytest.raises(ValueError):
             plus_state.probability(2)
+
+    def test_probabilities_are_abs_squared_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 5, 12, 16):
+            state = _random_state(n, rng)
+            probs = state.probabilities()
+            assert probs.tobytes() == (np.abs(state.amplitudes) ** 2).tobytes()
+            assert probs.flags.owndata and probs.flags.writeable
+
+    def test_probabilities_allocate_one_array(self):
+        """Half a state's bytes: the squares are taken in place."""
+        state = _random_state(16, np.random.default_rng(15))
+        assert peak_over_state(state.probabilities, 16) <= 0.51
 
 
 def _random_state(num_qubits, rng):

@@ -1,11 +1,11 @@
 """Tests for the coined line walk against the exact classical binomial."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from peak_memory import PeakMemory
 from oracles import classical_walk_reference
 
 import qregsim
@@ -54,14 +54,10 @@ class TestQuantumWalk:
 
     def test_register_width_checked_before_allocating(self):
         """10^11 steps need 39 qubits; the cap fails before 5.8 TiB is asked for."""
-        tracemalloc.start()
-        try:
+        with PeakMemory() as traced:
             with pytest.raises(ValueError, match="num_qubits=39 exceeds the configured cap"):
                 quantum_walk_line(10**11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert traced.peak < 64 * 1024
 
     @pytest.mark.parametrize("steps,width", [(0, 1), (1, 3), (2, 4), (3, 4), (4, 5), (8, 6)])
     def test_register_width_is_coin_plus_position_qubits(self, steps, width):
@@ -80,14 +76,10 @@ class TestQuantumWalk:
 class TestClassicalWalk:
     def test_register_width_checked_before_allocating(self):
         """10^11 steps count as 39 qubits; the cap fails before 1.46 TiB is asked for."""
-        tracemalloc.start()
-        try:
+        with PeakMemory() as traced:
             with pytest.raises(ValueError, match="num_qubits=39 exceeds the configured cap"):
                 classical_walk_line(10**11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert traced.peak < 64 * 1024
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps must be >= 0"):
