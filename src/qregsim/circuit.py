@@ -14,6 +14,10 @@ Mnemonics are ``id``, ``x``, ``h``, ``phase``, ``cnot``, ``cphase``,
 qubits first, and ``phase``/``cphase`` take a trailing finite angle in radians
 (decimal literal).  ``measure`` names the terminally measured qubits (or
 ``all``) and, when present, must be the last instruction.
+
+``run`` evolves and samples only the qubits some step targets, since an
+idle qubit stays |0> and reads 0; ``Circuit.final_state`` returns the whole
+register.
 """
 
 from __future__ import annotations
@@ -238,14 +242,46 @@ def serialize(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Outcomes are packed into int64, so at most 63 qubits can be measured.
+_MAX_OUTCOME_BITS = 63
+
+
 def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
     """Execute a circuit: evolve |0...0> once, then sample ``shots`` outcomes.
 
-    Identical (circuit, shots, seed) produce identical counts.
+    Only the qubits some step targets are evolved and sampled. A qubit no
+    step touches stays |0>, so the register is that |0> times the state of
+    the touched qubits, and an idle measured qubit reads 0 in every shot.
+    So the run holds a state of 2^k amplitudes for k touched qubits, not
+    2^n; ``Circuit.final_state`` still returns the whole register. Counts
+    and the draws taken are those of sampling the whole register, one
+    uniform per shot. Identical (circuit, shots, seed) produce identical
+    counts.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    state = circuit.final_state()
+    _check_num_qubits(circuit.num_qubits)
     measured = circuit.measured_qubits
-    counts = sample_counts(state, shots, RandomSource(seed), qubits=measured)
+    if len(measured) > _MAX_OUTCOME_BITS:
+        raise ValueError(
+            f"{len(measured)} measured qubits do not pack into one outcome; "
+            f"at most {_MAX_OUTCOME_BITS} do"
+        )
+    touched = sorted({q for step in circuit.steps for q in step.targets}) or [0]
+    position = {q: i for i, q in enumerate(touched)}
+    compact = Circuit(len(touched), tuple(
+        GateApplication(step.gate, [position[q] for q in step.targets])
+        for step in circuit.steps
+    ))
+    live = [j for j, q in enumerate(measured) if q in position]
+    counts = sample_counts(compact.final_state(), shots, RandomSource(seed),
+                           qubits=[position[measured[j]] for j in live])
+    if live != list(range(len(live))):
+        # Bit i of a compact outcome is bit live[i] of the packed one. The
+        # deposit keeps the order, so the counts stay in ascending order.
+        outcomes = np.fromiter(counts, dtype=np.int64, count=len(counts))
+        packed = np.zeros_like(outcomes)
+        for i, j in enumerate(live):
+            packed |= ((outcomes >> i) & 1) << j
+        counts = dict(zip(packed.tolist(), counts.values()))
     return RunResult(shots=shots, seed=seed, counts=counts, num_bits=len(measured))

@@ -203,15 +203,20 @@ def sample_counts(
     lookup = _inverse_cdf(distribution)
     # Batches draw the same stream as one call would, and counts are a
     # multiset, so batching and sorting leave them unchanged; sorted draws
-    # make the lookups monotone instead of random over the CDF.
+    # make the lookups monotone instead of random over the CDF, so each
+    # outcome is one run of equal lookups.
     counts: dict[int, int] = {}
     for start in range(0, shots, _SHOT_BATCH):
         uniforms = rng.uniforms(min(_SHOT_BATCH, shots - start))
         uniforms.sort()
-        values, freq = np.unique(lookup(uniforms), return_counts=True)
+        outcomes = lookup(uniforms)
+        bounds = np.flatnonzero(outcomes[1:] != outcomes[:-1]) + 1
+        bounds = np.concatenate(([0], bounds, [outcomes.size]))
+        values, freq = outcomes[bounds[:-1]], np.diff(bounds)
         for v, c in zip(values.tolist(), freq.tolist()):
             counts[v] = counts.get(v, 0) + c
-    return dict(sorted(counts.items()))
+    # One batch inserts its outcomes in ascending order already.
+    return counts if shots <= _SHOT_BATCH else dict(sorted(counts.items()))
 
 
 def is_product(state: QuantumState, left_qubits: Iterable[int]) -> bool:

@@ -6,7 +6,8 @@ basis permutation, the Fourier matrix through direct summation, orders
 through exhaustive exponentiation, marginals, projections and product
 checks through bit masks over every basis index, amplitude
 amplification through one full-vector pass per reflection, shot
-sampling through unsorted lookups, period finding through the whole
+sampling through unsorted lookups, circuit runs through every qubit of
+the register, idle ones included, period finding through the whole
 exponent-and-function register, the gate kernel through one ``[2]``
 dimension per qubit with its axis lists rebuilt on every call, random
 integers through one full measurement per round, and the classical walk
@@ -29,7 +30,8 @@ from qregsim.algorithms.shor import (
     _convergent_denominators,
     _minimal_order,
 )
-from qregsim.measurement import measure_all, measure_qubits
+from qregsim.circuit import Circuit, RunResult
+from qregsim.measurement import RandomSource, measure_all, measure_qubits, sample_counts
 from qregsim.state import QuantumState
 
 
@@ -132,6 +134,14 @@ def sample_counts_reference(distribution: np.ndarray, uniforms: np.ndarray) -> d
     outcomes = np.searchsorted(cum, uniforms, side="right")
     values, freq = np.unique(outcomes, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, freq)}
+
+
+def run_reference(circuit: Circuit, shots: int, rng: RandomSource) -> RunResult:
+    """``run_circuit`` on every qubit: the whole register's ``final_state``,
+    then ``sample_counts`` over all the measured qubits, idle ones included."""
+    measured = circuit.measured_qubits
+    counts = sample_counts(circuit.final_state(), shots, rng, qubits=measured)
+    return RunResult(shots=shots, seed=rng.seed, counts=counts, num_bits=len(measured))
 
 
 def powers_reference(a: int, mod_n: int, t: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the circuit text format, round-tripping, and multi-shot runs."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -9,15 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import run_reference
 from peak_memory import PeakMemory, peak_over_state
 from qregsim import (
     CNOT,
     HADAMARD,
+    IDENTITY,
     Circuit,
     CircuitParseError,
     GateApplication,
+    RandomSource,
     apply,
     controlled_phase,
+    custom_gate,
     from_amplitudes,
     get_max_qubits,
     parse_circuit,
@@ -29,6 +34,8 @@ from qregsim import (
 from qregsim import circuit as circuit_mod
 from qregsim import gates
 from qregsim.algorithms import inverse_qft, qft
+from qregsim.cli import main
+from test_gates import _random_monomial, _random_unitary
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure all\n"
 
@@ -227,6 +234,36 @@ class TestRun:
         result = run_circuit(parse_circuit(BELL_TEXT), 10, seed=2)
         assert result.bitstring(3) == "11"
 
+    def test_idle_qubits_read_zero(self):
+        # Qubits 0 and 2 are idle; measured qubit 2 sits between live ones.
+        text = "qubits 5\nh 1\ncnot 1 3\nx 4\nmeasure 4 3 2 1\n"
+        result = run_circuit(parse_circuit(text), 1000, seed=4)
+        assert set(result.counts) == {0b1000, 0b1101}
+        assert result.num_bits == 4
+
+    @pytest.mark.parametrize("shape", ["empty", "id-only", "idle-measured", "mixed"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_counts_and_draws_equal_the_whole_register_run(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        circuit = _sparse_circuit(rng, shape)
+        shots = int(rng.integers(1, 3000))
+        sources = []
+
+        class Recording(RandomSource):
+            def __init__(self, seed):
+                super().__init__(seed)
+                sources.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(circuit_mod, "RandomSource", Recording)
+            result = run_circuit(circuit, shots, seed)
+        reference_rng = RandomSource(seed)
+        expected = run_reference(circuit, shots, reference_rng)
+        assert list(result.counts.items()) == list(expected.counts.items())
+        assert result.num_bits == expected.num_bits
+        assert [s.draw_count for s in sources] == [reference_rng.draw_count] == [shots]
+
 
 def _random_circuit(rng):
     n = int(rng.integers(1, 6))
@@ -256,6 +293,43 @@ def _random_circuit(rng):
     return Circuit(n, tuple(steps), terminal)
 
 
+def _sparse_circuit(rng, shape):
+    """A circuit on 1-8 qubits whose steps target a random subset of them.
+
+    ``shape`` is ``"empty"`` (no steps), ``"id-only"``, ``"idle-measured"``
+    (every measured qubit idle) or ``"mixed"``: each mnemonic that fits on
+    the live qubits, a dense and a monomial custom gate, and random repeats.
+    """
+    n = int(rng.integers(2 if shape == "idle-measured" else 1, 9))
+    live_count = int(rng.integers(1, n if shape == "idle-measured" else n + 1))
+    live = [int(q) for q in rng.permutation(n)[:live_count]]
+    steps = []
+    if shape == "id-only":
+        steps = [GateApplication(IDENTITY, (int(rng.choice(live)),))
+                 for _ in range(int(rng.integers(1, 6)))]
+    elif shape == "mixed":
+        arity = min(2, live_count)
+        angles = rng.uniform(-math.pi, math.pi, 2)
+        kinds = [custom_gate(arity, _random_unitary(arity, rng)),
+                 custom_gate(arity, _random_monomial(arity, rng)),
+                 phase_shift(angles[0]), *circuit_mod._FIXED_GATES.values()]
+        if live_count > 1:
+            kinds.append(controlled_phase(angles[1]))
+        kinds = [gate for gate in kinds if gate.arity <= live_count]
+        kinds += [kinds[int(rng.integers(len(kinds)))] for _ in range(int(rng.integers(0, 10)))]
+        for i in rng.permutation(len(kinds)):
+            targets = rng.choice(live, size=kinds[i].arity, replace=False)
+            steps.append(GateApplication(kinds[i], targets))
+    if shape == "idle-measured":
+        pool = [q for q in range(n) if q not in live]
+    elif rng.random() < 0.5:
+        return Circuit(n, tuple(steps))  # measure all
+    else:
+        pool = list(range(n))
+    measure = rng.choice(pool, size=int(rng.integers(1, len(pool) + 1)), replace=False)
+    return Circuit(n, tuple(steps), tuple(int(q) for q in measure))
+
+
 def _every_mnemonic_text(rnd, n, h_layer):
     """An H layer on ``h_layer`` qubits, then each mnemonic once in random order."""
     arity = circuit_mod._ARITY
@@ -282,11 +356,18 @@ class TestMemory:
     # counted: about 36 B a shot, 48 B allowed.
     RUN_BOUND = 1.5 + (1 << 16) * 48 / (16 << N)
 
-    @pytest.mark.parametrize("k", range(3))
-    def test_peak_within_bound(self, k):
-        circuit = parse_circuit(_every_mnemonic_text(random.Random(k), self.N, 4))
+    # The seeded circuits touch 12-13 of the 18 qubits, so ``run`` evolves
+    # only those; the full-width case holds the whole register. Its h layer
+    # spreads 2^16 shots over about 51,000 outcomes, and a dict of that many
+    # counts is itself about one state, which the bound leaves out; so it
+    # takes 2^10 shots.
+    @pytest.mark.parametrize("k, h_layer, shots",
+                             [pytest.param(k, 4, 1 << 16, id=str(k)) for k in range(3)]
+                             + [pytest.param(0, N, 1 << 10, id="full-width")])
+    def test_peak_within_bound(self, k, h_layer, shots):
+        circuit = parse_circuit(_every_mnemonic_text(random.Random(k), self.N, h_layer))
         assert peak_over_state(circuit.final_state, self.N) <= self.BOUND
-        assert peak_over_state(lambda: run_circuit(circuit, 1 << 16, k), self.N) <= self.RUN_BOUND
+        assert peak_over_state(lambda: run_circuit(circuit, shots, k), self.N) <= self.RUN_BOUND
 
     @pytest.mark.parametrize("transform", [
         pytest.param(lambda s: qft(s), id="qft"),
@@ -314,7 +395,6 @@ class TestMemory:
         assert peak_over_state(circuit.final_state, self.N) > self.BOUND
 
     def test_buffers_released_before_sampling(self, monkeypatch):
-        circuit = parse_circuit(_every_mnemonic_text(random.Random(1), self.N, 4))
         held = []
         sample_counts = circuit_mod.sample_counts
 
@@ -323,9 +403,12 @@ class TestMemory:
             return sample_counts(*args, **kwargs)
 
         monkeypatch.setattr(circuit_mod, "sample_counts", sampling)
-        with PeakMemory() as traced:
-            run_circuit(circuit, 1 << 10, 5)
-        assert (held[0] - traced.base) / (16 << self.N) <= 1.05
+        for h_layer in (4, self.N):  # some qubits idle, then none
+            circuit = parse_circuit(_every_mnemonic_text(random.Random(1), self.N, h_layer))
+            held.clear()
+            with PeakMemory() as traced:
+                run_circuit(circuit, 1 << 10, 5)
+            assert (held[0] - traced.base) / (16 << self.N) <= 1.05
 
     def test_register_over_cap_is_rejected(self):
         circuit = Circuit(4, (GateApplication(HADAMARD, (3,)),))
@@ -334,5 +417,38 @@ class TestMemory:
         try:
             with pytest.raises(ValueError, match="exceeds the configured cap"):
                 circuit.final_state()
+            with pytest.raises(ValueError, match="exceeds the configured cap"):
+                run_circuit(circuit, 10, 1)  # although it touches one qubit
+        finally:
+            set_max_qubits(cap)
+
+    def test_idle_qubits_hold_no_memory(self, capsys, tmp_path):
+        text = "qubits 26\nh 0\ncnot 0 25\nmeasure all\n"
+        path = tmp_path / "wide.qc"
+        path.write_text(text)
+        with PeakMemory() as traced:
+            result = run_circuit(parse_circuit(text), 1 << 12, 3)
+        assert traced.peak < 1 << 20
+        assert set(result.counts) == {0, (1 << 25) + 1}
+
+        main(["run", str(path), "--shots", "10", "--seed", "1"])  # builds the CLI parser
+        capsys.readouterr()
+        with PeakMemory() as traced:
+            code = main(["run", str(path), "--shots", "4096", "--seed", "3", "--format", "json"])
+        assert code == 0
+        assert traced.peak < 1 << 20
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert set(counts) == {"0" * 26, "1" + "0" * 24 + "1"}
+
+    def test_outcomes_wider_than_int64_are_rejected(self):
+        cap = get_max_qubits()
+        set_max_qubits(64)
+        try:
+            steps = (GateApplication(HADAMARD, (0,)), GateApplication(CNOT, (0, 62)))
+            result = run_circuit(Circuit(63, steps), 100, 1)
+            assert set(result.counts) == {0, (1 << 62) + 1}
+            with pytest.raises(ValueError, match="64 measured qubits do not pack"):
+                run_circuit(Circuit(64, steps), 100, 1)
+            assert run_circuit(Circuit(64, steps, (0, 62)), 100, 1).counts.keys() <= {0, 3}
         finally:
             set_max_qubits(cap)
