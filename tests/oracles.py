@@ -10,8 +10,9 @@ sampling through unsorted lookups, circuit runs through every qubit of
 the register, idle ones included, period finding through the whole
 exponent-and-function register, the gate kernel through one ``[2]``
 dimension per qubit with its axis lists rebuilt on every call, random
-integers through one full measurement per round, and the classical walk
-through one binomial coefficient per position.
+integers through one full measurement per round, the coined walk through
+one coin matrix product and two shifted copies of the whole line per step,
+and the classical walk through one binomial coefficient per position.
 """
 
 from __future__ import annotations
@@ -192,6 +193,20 @@ def qrng_reference(num_bits: int, chunk: int, rng) -> int:
         outcome, _ = measure_all(prepared, rng)
         value |= outcome << (r * chunk)
     return value & ((1 << num_bits) - 1)
+
+
+def quantum_walk_reference(steps: int, coin_init) -> np.ndarray:
+    """Coined-walk probabilities over -steps..steps, each step over the whole line."""
+    psi = np.zeros((2 * steps + 1, 2), dtype=np.complex128)
+    psi[steps] = coin_init
+    coin_op = gates.HADAMARD.matrix
+    for _ in range(steps):
+        psi = psi @ coin_op.T
+        shifted = np.zeros_like(psi)
+        shifted[:-1, 0] = psi[1:, 0]
+        shifted[1:, 1] = psi[:-1, 1]
+        psi = shifted
+    return (np.abs(psi) ** 2).sum(axis=1)
 
 
 def classical_walk_reference(steps: int) -> np.ndarray:

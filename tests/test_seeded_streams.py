@@ -136,7 +136,7 @@ def _inputs():
             yield "shor_factor", {"mod_n": mod_n, "seed": seed}
     for qubits, period in ((3, 2), (4, 3), (6, 5), (8, 3), (8, 6), (10, 7)):
         yield "cli", {"argv": ["qft-demo", "--qubits", str(qubits), "--period", str(period)]}
-    for steps in (0, 1, 7, 40):
+    for steps in (0, 1, 7, 40, 200):
         yield "cli", {"argv": ["walk", "--steps", str(steps)]}
 
 

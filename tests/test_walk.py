@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peak_memory import PeakMemory
-from oracles import classical_walk_reference
+from oracles import classical_walk_reference, quantum_walk_reference
 
 import qregsim
 from qregsim.algorithms import classical_walk_line, quantum_walk_line
@@ -48,6 +50,11 @@ class TestQuantumWalk:
         with pytest.raises(ValueError, match="normalized"):
             quantum_walk_line(3, (1.0, 1.0))
 
+    @pytest.mark.parametrize("coin", [(math.nan, 0.0), (1.0, math.inf), (complex(0, -math.inf), 0)])
+    def test_non_finite_coin_rejected(self, coin):
+        with pytest.raises(ValueError, match="coin_init contains a non-finite entry"):
+            quantum_walk_line(3, coin)
+
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             quantum_walk_line(-1)
@@ -71,6 +78,60 @@ class TestQuantumWalk:
                     quantum_walk_line(steps)
         finally:
             qregsim.set_max_qubits(old)
+
+
+def _assert_matches_reference(steps, coin):
+    dist = quantum_walk_line(steps, coin)
+    expected = quantum_walk_reference(steps, coin)
+    assert dist.positions.tolist() == list(range(-steps, steps + 1))
+    np.testing.assert_allclose(dist.probabilities, expected, rtol=0, atol=1e-12)
+    assert np.all(dist.probabilities[1::2] == 0.0)
+    return dist
+
+
+class TestAgainstReference:
+    """The light-cone loop against the whole-line loop it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.integers(0, 300),
+           theta=st.floats(0, math.pi / 2),
+           phases=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)))
+    def test_random_unit_coin(self, steps, theta, phases):
+        coin = (math.cos(theta) * np.exp(1j * phases[0]), math.sin(theta) * np.exp(1j * phases[1]))
+        _assert_matches_reference(steps, coin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 300))
+    def test_symmetric_coin_mirrors(self, steps):
+        p = _assert_matches_reference(steps, SYMMETRIC_COIN).probabilities
+        np.testing.assert_allclose(p, p[::-1], rtol=0, atol=1e-12)
+
+    def test_thousand_steps(self):
+        p = _assert_matches_reference(1000, SYMMETRIC_COIN).probabilities
+        np.testing.assert_allclose(p, p[::-1], rtol=0, atol=1e-12)
+
+
+class TestMemory:
+    STEPS = 4000
+    # Three complex arrays of steps + 1 light-cone sites (two coins and the
+    # scratch), the returned positions and probabilities (2 * steps + 1
+    # eight-byte entries each), and up to three float temporaries of
+    # steps + 1 while the probabilities are formed.  The whole-line loop
+    # holds two (2 * steps + 1, 2) complex arrays at once and peaks at about
+    # 1.8 times this.
+    BOUND = (3 * 16 + 3 * 8) * (STEPS + 1) + 2 * 8 * (2 * STEPS + 1) + 4096
+
+    def test_peak_within_bound(self):
+        quantum_walk_line(10)
+        with PeakMemory() as traced:
+            quantum_walk_line(self.STEPS)
+        assert traced.peak <= self.BOUND
+
+    def test_bound_catches_the_whole_line_loop(self):
+        quantum_walk_reference(10, SYMMETRIC_COIN)
+        with PeakMemory() as traced:
+            quantum_walk_reference(self.STEPS, SYMMETRIC_COIN)
+        assert traced.peak > self.BOUND
 
 
 class TestClassicalWalk:
