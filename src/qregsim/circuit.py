@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gates
 from .gates import Gate, GateApplication
-from .measurement import RandomSource, sample_counts
+from .measurement import RandomSource, _check_shots, sample_counts
 from .state import QuantumState, _check_num_qubits, get_max_qubits
 from .state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
@@ -258,8 +258,7 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
     uniform per shot. Identical (circuit, shots, seed) produce identical
     counts.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _check_shots(shots)
     _check_num_qubits(circuit.num_qubits)
     measured = circuit.measured_qubits
     if len(measured) > _MAX_OUTCOME_BITS:

@@ -6,6 +6,9 @@ projects the state onto the observed bits (inconsistent amplitudes become
 exactly zero) and renormalizes.  Like the gate kernel, every function here
 works on the ``[2]*n`` view of the register, with qubit ``q`` on axis
 ``n-1-q``: marginals are sums over axes, collapse keeps one slice.
+Repeated sampling sorts each batch of draws once, then counts every
+outcome of a small support at its CDF edge, or looks up every draw of a
+larger one; both give the counts of looking up each draw in turn.
 """
 
 from __future__ import annotations
@@ -182,6 +185,50 @@ def measure_qubits(
     return MeasurementOutcome(bits, _project(state, bits))
 
 
+def _check_shots(shots: int) -> None:
+    """Reject a shot count that is not an integer >= 1, before any work."""
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+
+
+def _batch_counter(
+    distribution: np.ndarray, batch: int
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Map a sorted batch of uniforms to its outcomes, ascending, and their counts.
+
+    Takes over ``distribution``, a fresh array.  A draw ``u`` picks the
+    outcome whose CDF interval ``[cdf[i-1], cdf[i])`` holds it, as
+    ``_inverse_cdf`` does.  When the support (the nonzero bins) is no larger
+    than a batch, an outcome's count is the draws below its CDF edge minus
+    those below the previous edge: one lookup per outcome, not per draw.
+    The CDF at the support is the full CDF there, since adding +0.0 never
+    changes a float sum, so no 2^k CDF is built and ``distribution`` is not
+    kept.  On either path, a bin too small to raise the CDF gets no draw.
+    """
+    if np.count_nonzero(distribution) > batch:
+        lookup = _inverse_cdf(distribution)
+
+        def per_draw(uniforms):
+            # Sorted draws make the lookups monotone, so each outcome is
+            # one run of equal lookups.
+            outcomes = lookup(uniforms)
+            bounds = np.flatnonzero(outcomes[1:] != outcomes[:-1]) + 1
+            bounds = np.concatenate(([0], bounds, [outcomes.size]))
+            return outcomes[bounds[:-1]], np.diff(bounds)
+
+        return per_draw
+    support = np.flatnonzero(distribution)
+    edges = np.add.accumulate(distribution[support])
+    edges /= edges[-1]
+
+    def per_outcome(uniforms):
+        freq = np.diff(uniforms.searchsorted(edges, side="left"), prepend=0)
+        drawn = np.flatnonzero(freq)
+        return support[drawn], freq[drawn]
+
+    return per_outcome
+
+
 def sample_counts(
     state: QuantumState,
     shots: int,
@@ -192,27 +239,26 @@ def sample_counts(
 
     With ``qubits`` given, outcomes are packed over that subset with the
     highest qubit index as the most significant bit; otherwise outcomes are
-    full basis indices.  One uniform is drawn per shot.
+    full basis indices.  Counts are in ascending outcome order.  One uniform
+    is drawn per shot, in batches that are sorted and then counted: at the
+    CDF edges of the support (its nonzero bins) when it is no larger than a
+    batch, else one CDF lookup per draw.  Either way the counts are those
+    of looking up every draw, in draw order, in the whole CDF.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _check_shots(shots)
     if qubits is None:
         distribution = state.probabilities()
     else:
         distribution = marginal_distribution(state, sorted(_check_qubits(state, qubits)))
-    lookup = _inverse_cdf(distribution)
+    count_batch = _batch_counter(distribution, min(shots, _SHOT_BATCH))
+    del distribution  # the counter keeps what it needs
     # Batches draw the same stream as one call would, and counts are a
-    # multiset, so batching and sorting leave them unchanged; sorted draws
-    # make the lookups monotone instead of random over the CDF, so each
-    # outcome is one run of equal lookups.
+    # multiset, so batching and sorting leave them unchanged.
     counts: dict[int, int] = {}
     for start in range(0, shots, _SHOT_BATCH):
         uniforms = rng.uniforms(min(_SHOT_BATCH, shots - start))
         uniforms.sort()
-        outcomes = lookup(uniforms)
-        bounds = np.flatnonzero(outcomes[1:] != outcomes[:-1]) + 1
-        bounds = np.concatenate(([0], bounds, [outcomes.size]))
-        values, freq = outcomes[bounds[:-1]], np.diff(bounds)
+        values, freq = count_batch(uniforms)
         for v, c in zip(values.tolist(), freq.tolist()):
             counts[v] = counts.get(v, 0) + c
     # One batch inserts its outcomes in ascending order already.

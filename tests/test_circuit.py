@@ -230,6 +230,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run_circuit(Circuit(1), 0, seed=1)
 
+    @pytest.mark.parametrize("shots", [2.5, 1000.0, "10", None, np.float64(4)])
+    def test_non_integer_shots_rejected_before_evolving(self, monkeypatch, shots):
+        def evolve(self):
+            raise AssertionError("evolved before the shot count was checked")
+
+        monkeypatch.setattr(Circuit, "final_state", evolve)
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            run_circuit(parse_circuit(BELL_TEXT), shots, seed=1)
+
     def test_bitstring_rendering(self):
         result = run_circuit(parse_circuit(BELL_TEXT), 10, seed=2)
         assert result.bitstring(3) == "11"

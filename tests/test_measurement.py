@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peak_memory import PeakMemory
 from oracles import (
@@ -245,6 +247,113 @@ class TestSampleCounts:
             # About 30 B per shot of one batch; all 2^16 uniforms at once
             # would take 512 KiB alone.
             assert traced.peak < 64 * batch
+
+    @pytest.mark.parametrize("shots", [2.5, 1000.0, "10", None, np.float64(4), 0, -3])
+    def test_shots_must_be_a_positive_integer(self, triple_state, shots):
+        rng = RandomSource(1)
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            sample_counts(triple_state, shots, rng)
+        assert rng.draw_count == 0
+
+    def test_numpy_integer_shots_accepted(self, triple_state):
+        assert sample_counts(triple_state, np.int64(7), RandomSource(2)) == sample_counts(
+            triple_state, 7, RandomSource(2)
+        )
+
+    def test_bin_absorbed_by_the_cdf_is_never_drawn(self):
+        # 0.5 + 1e-300 == 0.5: the middle bin is in the support but does
+        # not raise the CDF, so no uniform falls in it.
+        amps = np.zeros(8)
+        amps[[2, 3, 5]] = math.sqrt(0.5), 1e-150, math.sqrt(0.5)
+        state = from_amplitudes(3, amps)
+        for shots in (3, 10_000):
+            counts = sample_counts(state, shots, RandomSource(shots))
+            expected = sample_counts_reference(
+                state.probabilities(), RandomSource(shots).uniforms(shots)
+            )
+            assert list(counts.items()) == list(expected.items())
+            assert 3 not in counts
+
+    @pytest.mark.parametrize("shots", [6, 3])
+    def test_draws_on_a_cdf_edge_take_the_next_outcome(self, shots):
+        """A uniform equal to ``cdf[i]`` picks outcome ``i + 1``, on both
+        paths (6 shots cover the 4 outcomes, 3 do not)."""
+
+        class Fixed:
+            def uniforms(self, count):
+                return np.array([0.75, 0.0, 0.25, 0.5, 0.25, 0.999][:count])
+
+        amps = np.zeros(8)
+        amps[[1, 2, 4, 6]] = 0.5  # CDF 0, 0.25, 0.5, 0.5, 0.75, 0.75, 1, 1
+        state = from_amplitudes(3, amps)
+        counts = sample_counts(state, shots, Fixed())
+        expected = sample_counts_reference(state.probabilities(), Fixed().uniforms(shots))
+        assert list(counts.items()) == list(expected.items())
+        if shots == 6:
+            assert counts == {1: 1, 2: 2, 4: 1, 6: 2}
+
+    def test_sparse_support_holds_no_per_shot_array(self):
+        """With 8 outcomes, 2^16 shots are counted at the 8 CDF edges: the
+        probability array is dropped before the draws, so the peak is one
+        of the two (512 KiB each), not both plus 2^16 looked-up outcomes
+        (1.6 MiB for one lookup per draw)."""
+        n, shots = 16, 1 << 16
+        amps = np.zeros(1 << n)
+        amps[np.random.default_rng(30).choice(1 << n, 8, replace=False)] = math.sqrt(1 / 8)
+        state = from_amplitudes(n, amps)
+        rng = RandomSource(4)
+        with PeakMemory() as traced:
+            counts = sample_counts(state, shots, rng)
+        assert len(counts) == 8 and rng.draw_count == shots
+        assert traced.peak < 8 * max(1 << n, shots) + (16 << 10)
+
+
+class TestSampleCountsAgainstReference:
+    """Counting at the CDF edges of the support and one lookup per draw both
+    give the reference's counts, order and draws: sparse and dense supports
+    on either side of ``min(shots, _SHOT_BATCH)``, qubit subsets, bins the
+    CDF absorbs, and shots over several batches."""
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["edges", "per-draw"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, sparse, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        dim = 1 << n
+        support = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim,
+                                     unique=True), label="support")
+        weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support),
+                                     max_size=len(support)), label="weights")
+        amps = np.zeros(dim)
+        amps[support] = np.sqrt(weights)
+        amps /= np.linalg.norm(amps)
+        after = sorted(set(range(min(support), dim)) - set(support))
+        if after and data.draw(st.booleans(), label="absorbed bin"):
+            amps[after[0]] = 1e-150  # probability 1e-300, after a weight >= 1e-3
+        state = from_amplitudes(n, amps)
+        qubits = data.draw(st.none() | st.permutations(range(n)).flatmap(
+            lambda order: st.integers(1, n).map(lambda k: order[:k])), label="qubits")
+        if qubits is None:
+            distribution = state.probabilities()
+        else:
+            distribution = marginal_distribution(state, sorted(qubits))
+        nonzero = int(np.count_nonzero(distribution))
+        if sparse:
+            batch = data.draw(st.integers(nonzero, 4 * nonzero), label="batch")
+            shots = data.draw(st.integers(nonzero, 4 * batch), label="shots")
+        else:
+            assume(nonzero > 1)
+            limit = data.draw(st.integers(1, nonzero - 1), label="limit")
+            other = data.draw(st.integers(limit, 4 * nonzero), label="other")
+            batch, shots = data.draw(st.permutations([limit, other]), label="batch, shots")
+        assert (nonzero <= min(shots, batch)) is sparse
+        rng = RandomSource(shots)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measurement, "_SHOT_BATCH", batch)
+            counts = sample_counts(state, shots, rng, qubits=qubits)
+        expected = sample_counts_reference(distribution, RandomSource(shots).uniforms(shots))
+        assert list(counts.items()) == list(expected.items())
+        assert rng.draw_count == shots
 
 
 class TestIsProduct:

@@ -138,6 +138,14 @@ def _inputs():
         yield "cli", {"argv": ["qft-demo", "--qubits", str(qubits), "--period", str(period)]}
     for steps in (0, 1, 7, 40, 200):
         yield "cli", {"argv": ["walk", "--steps", str(steps)]}
+    # Both ways of counting shots: 4096 outcomes for 1000 shots are looked
+    # up one draw at a time; 4 outcomes (an idle qubit measured) over two
+    # batches are counted at the CDF edges of their support.
+    full = "".join(f"h {q}\n" for q in range(12))
+    yield "run", {"circuit": f"qubits 12\n{full}phase 3 0.4\nh 3\nmeasure all\n",
+                  "shots": 1000, "seed": 5}
+    sparse = "qubits 5\nh 0\nphase 0 0.9\nh 0\ncnot 0 3\nh 4\nmeasure 0 1 3 4\n"
+    yield "run", {"circuit": sparse, "shots": (1 << 20) + 3, "seed": 6}
 
 
 def _record():
