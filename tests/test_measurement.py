@@ -248,7 +248,9 @@ class TestSampleCounts:
             # would take 512 KiB alone.
             assert traced.peak < 64 * batch
 
-    @pytest.mark.parametrize("shots", [2.5, 1000.0, "10", None, np.float64(4), 0, -3])
+    @pytest.mark.parametrize(
+        "shots", [2.5, 1000.0, "10", None, np.float64(4), True, np.bool_(True), 0, -3]
+    )
     def test_shots_must_be_a_positive_integer(self, triple_state, shots):
         rng = RandomSource(1)
         with pytest.raises(ValueError, match="shots must be an integer >= 1"):
@@ -306,6 +308,20 @@ class TestSampleCounts:
             counts = sample_counts(state, shots, rng)
         assert len(counts) == 8 and rng.draw_count == shots
         assert traced.peak < 8 * max(1 << n, shots) + (16 << 10)
+
+    def test_dense_support_holds_no_array_of_its_size_but_one(self):
+        """2^16 equally likely outcomes for 1000 shots are looked up one
+        draw at a time in a CDF built in place in the probability array
+        (512 KiB), not counted at 2^16 edges, which holds the support, its
+        CDF and two lookups of its size besides."""
+        n, shots = 16, 1000
+        state = from_amplitudes(n, np.full(1 << n, math.sqrt(1 / (1 << n))))
+        sample_counts(state, shots, RandomSource(5))  # numpy's first-call allocations
+        rng = RandomSource(4)
+        with PeakMemory() as traced:
+            counts = sample_counts(state, shots, rng)
+        assert sum(counts.values()) == shots and rng.draw_count == shots
+        assert traced.peak < 2 * 8 * (1 << n)
 
 
 class TestSampleCountsAgainstReference:
