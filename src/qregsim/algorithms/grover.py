@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..measurement import RandomSource, measure_all
-from ..state import QuantumState, _check_num_qubits, _owned
+from ..state import QuantumState, _check_num_qubits, _is_int, _owned
 from ..state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
@@ -38,6 +38,10 @@ class Oracle:
 
     num_qubits: int
     predicate: Callable[[int], bool]
+
+    def __post_init__(self):  # the width is checked on first use
+        if _is_int(self.num_qubits):
+            object.__setattr__(self, "num_qubits", int(self.num_qubits))
 
     def marked_indices(self) -> np.ndarray:
         """All marked basis indices in ascending order (read-only array).
@@ -108,7 +112,7 @@ _uniform_superposition_cached = lru_cache(maxsize=8)(_build_uniform_superpositio
 
 def uniform_superposition(num_qubits: int) -> QuantumState:
     """Hadamard on every qubit of |0...0>: amplitude 2**(-n/2) everywhere."""
-    _check_num_qubits(num_qubits)
+    num_qubits = _check_num_qubits(num_qubits)
     # States are immutable, so small ones are shared across callers.
     if num_qubits <= _CACHED_QUBITS:
         return _uniform_superposition_cached(num_qubits)
@@ -124,8 +128,9 @@ def amplified_state(oracle: Oracle, marked_count: int) -> tuple[QuantumState, in
     marked = oracle.marked_indices()
     n = oracle.num_qubits
     total = 1 << n
-    if marked_count < 1:
-        raise ValueError("marked_count must be >= 1: nothing to find")
+    if not _is_int(marked_count) or marked_count < 1:
+        raise ValueError(f"marked_count {marked_count!r} is not an integer >= 1: nothing to find")
+    marked_count = int(marked_count)
     if marked_count > total:
         raise ValueError(f"marked_count {marked_count} exceeds search space {total}")
     if marked.size != marked_count:

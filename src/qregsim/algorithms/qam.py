@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..measurement import RandomSource, measure_all
-from ..state import QuantumState, _check_num_qubits, _owned
+from ..state import QuantumState, _check_num_qubits, _is_int, _owned
 from .grover import amplify, iteration_count
 
 
@@ -85,8 +85,9 @@ def qam_query(
     reporting the minimum achievable distance.
     """
     _validate_pattern(query, memory.pattern_length)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    if not _is_int(radius) or radius < 0:
+        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
+    radius = int(radius)
     codes = memory._codes()
     distances = np.bitwise_count(codes ^ int(query, 2))
     marked = codes[distances <= radius]

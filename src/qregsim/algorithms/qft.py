@@ -19,8 +19,7 @@ from functools import lru_cache
 
 from .. import gates
 from ..gates import GateApplication
-from ..measurement import _check_qubits
-from ..state import QuantumState
+from ..state import QuantumState, _check_qubits
 
 
 def qft_applications(qubits: Sequence[int]) -> list[GateApplication]:
@@ -29,7 +28,7 @@ def qft_applications(qubits: Sequence[int]) -> list[GateApplication]:
     ``qubits`` lists the register's qubit indices; significance follows the
     listed order with the last entry most significant.
     """
-    return list(_forward_ladder(tuple(int(q) for q in qubits)))
+    return list(_forward_ladder(_check_qubits(qubits)))
 
 
 @lru_cache(maxsize=16)
@@ -63,7 +62,7 @@ def _inverse_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
 def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> tuple[int, ...]:
     if qubits is None:
         return tuple(range(state.num_qubits))
-    return tuple(sorted(_check_qubits(state, qubits)))
+    return tuple(sorted(_check_qubits(qubits, state.num_qubits)))
 
 
 def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:

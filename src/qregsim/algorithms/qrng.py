@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from ..measurement import _SHOT_BATCH, RandomSource, _inverse_cdf
 from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
-from ..state import get_max_qubits
+from ..state import _is_int, get_max_qubits
 from .grover import _CACHED_QUBITS, uniform_superposition
 
 
@@ -31,12 +31,13 @@ def qrng(num_bits: int, chunk: int, rng: RandomSource) -> int:
     ``chunk``-qubit register; round r supplies bits r*chunk upward, and
     surplus high bits of the last round are discarded.
     """
-    if num_bits < 1:
-        raise ValueError(f"num_bits must be >= 1, got {num_bits}")
-    if not 1 <= chunk <= get_max_qubits():
+    if not _is_int(num_bits) or num_bits < 1:
+        raise ValueError(f"num_bits must be an integer >= 1, got {num_bits!r}")
+    if not _is_int(chunk) or not 1 <= chunk <= get_max_qubits():
         raise ValueError(
-            f"chunk must be between 1 and the qubit cap {get_max_qubits()}, got {chunk}"
+            f"chunk must be an integer from 1 to the qubit cap {get_max_qubits()}, got {chunk!r}"
         )
+    num_bits, chunk = int(num_bits), int(chunk)
     rounds = -(-num_bits // chunk)
     # Every round measures the same prepared state, and its post-state is
     # never read, so each round is one uniform through one shared CDF,

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ..measurement import RandomSource, _inverse_cdf, measure_qubits
-from ..state import _owned, get_max_qubits
+from ..state import _is_int, _owned, get_max_qubits
 from .qft import inverse_qft
 
 #: Measurement retries per base before giving up on order finding.
@@ -87,8 +87,9 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
     t = bit_length(mod_n**2 - 1) exponent qubits within the qubit cap.
     Raises RetryLimitExceeded if no sample yields the period in the budget.
     """
-    if not 2 <= a < mod_n:
-        raise ValueError(f"base must satisfy 2 <= a < mod_n, got a={a}, mod_n={mod_n}")
+    if not (_is_int(a) and _is_int(mod_n) and 2 <= a < mod_n):
+        raise ValueError(f"base must satisfy 2 <= a < mod_n, got a={a!r}, mod_n={mod_n!r}")
+    a, mod_n = int(a), int(mod_n)
     if math.gcd(a, mod_n) != 1:
         raise ValueError(f"gcd({a}, {mod_n}) != 1: base shares a factor with the modulus")
     t = _exponent_width(mod_n)
@@ -133,8 +134,9 @@ def shor_factor(mod_n: int, rng: RandomSource) -> tuple[int, int]:
     Classical reduction: random base a, gcd shortcut, order finding, then
     gcd(a**(r/2) +- 1, mod_n); retries with fresh bases up to the cap.
     """
-    if mod_n < 3 or mod_n % 2 == 0:
-        raise ValueError(f"mod_n must be an odd integer >= 3, got {mod_n}")
+    if not _is_int(mod_n) or mod_n < 3 or mod_n % 2 == 0:
+        raise ValueError(f"mod_n must be an odd integer >= 3, got {mod_n!r}")
+    mod_n = int(mod_n)
     # Before the primality tests, which take too long or overflow on
     # moduli far beyond the cap.
     _exponent_width(mod_n)

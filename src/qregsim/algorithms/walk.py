@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gates import HADAMARD
-from ..state import _check_num_qubits
+from ..state import _check_num_qubits, _is_int
 
 #: Default coin giving a left-right symmetric quantum distribution.
 SYMMETRIC_COIN = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
@@ -39,19 +39,20 @@ class WalkDistribution:
         return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def _check_steps(steps: int) -> None:
-    """Reject negative steps, and walks whose coin-plus-position qubits exceed the cap.
+def _check_steps(steps: int) -> int:
+    """Steps as an int, rejecting non-integer or negative steps and walks over the cap.
 
     One coin qubit and ceil(log2(2*steps + 1)) position qubits, classical or quantum.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not _is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps!r}")
     _check_num_qubits(1 + int(2 * steps).bit_length())
+    return int(steps)
 
 
 def quantum_walk_line(steps: int, coin_init=SYMMETRIC_COIN) -> WalkDistribution:
     """Hadamard-coined walk from position 0 with the given initial coin state."""
-    _check_steps(steps)
+    steps = _check_steps(steps)
     coin = np.asarray(coin_init, dtype=np.complex128)
     if coin.shape != (2,):
         raise ValueError("coin_init must have exactly two amplitudes")
@@ -81,7 +82,7 @@ def quantum_walk_line(steps: int, coin_init=SYMMETRIC_COIN) -> WalkDistribution:
 
 def classical_walk_line(steps: int) -> WalkDistribution:
     """Exact symmetric binomial walk: P(2k - t) = C(t, k) / 2**t."""
-    _check_steps(steps)
+    steps = _check_steps(steps)
     probabilities = np.zeros(2 * steps + 1)
     total = 1 << steps
     c = 1  # C(steps, k); C(t, k + 1) = C(t, k) * (t - k) / (k + 1) divides exactly

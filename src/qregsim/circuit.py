@@ -30,7 +30,7 @@ import numpy as np
 from . import gates
 from .gates import Gate, GateApplication
 from .measurement import RandomSource, _check_shots, sample_counts
-from .state import QuantumState, _check_num_qubits, get_max_qubits
+from .state import QuantumState, _check_num_qubits, _check_qubits, _is_int, get_max_qubits
 from .state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
@@ -70,23 +70,16 @@ class Circuit:
     terminal_measure: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be positive, got {self.num_qubits}")
+        n = self.num_qubits
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"num_qubits must be a positive integer, got {n!r}")
+        object.__setattr__(self, "num_qubits", int(n))
         object.__setattr__(self, "steps", tuple(self.steps))
-        for step in self.steps:
-            if max(step.targets) >= self.num_qubits:
-                raise ValueError(
-                    f"step {step!r} targets a qubit outside the "
-                    f"{self.num_qubits}-qubit register"
-                )
+        for step in self.steps:  # a GateApplication's targets are checked but for width
+            if max(step.targets) >= n:
+                raise ValueError(f"step {step!r} targets a qubit outside the {n}-qubit register")
         if self.terminal_measure is not None:
-            measure = tuple(int(q) for q in self.terminal_measure)
-            if len(set(measure)) != len(measure):
-                raise ValueError(f"duplicate measured qubits in {measure}")
-            for q in measure:
-                if not 0 <= q < self.num_qubits:
-                    raise ValueError(f"measured qubit {q} out of range")
-            object.__setattr__(self, "terminal_measure", measure)
+            object.__setattr__(self, "terminal_measure", _check_qubits(self.terminal_measure, n))
 
     @property
     def measured_qubits(self) -> tuple[int, ...]:
@@ -165,18 +158,12 @@ def parse(text: str) -> Circuit:
         if word == "measure":
             if not operands:
                 raise CircuitParseError(line_number, "'measure' needs 'all' or qubit indices")
-            if operands == ["all"]:
-                terminal = None
-            else:
-                qubit_list = []
-                for tok in operands:
-                    q = _parse_int(tok, line_number, "a qubit index")
-                    if not 0 <= q < num_qubits:
-                        raise CircuitParseError(line_number, f"qubit {q} out of range")
-                    if q in qubit_list:
-                        raise CircuitParseError(line_number, f"duplicate measured qubit {q}")
-                    qubit_list.append(q)
-                terminal = tuple(qubit_list)
+            if operands != ["all"]:
+                qubit_list = [_parse_int(tok, line_number, "a qubit index") for tok in operands]
+                try:
+                    terminal = _check_qubits(qubit_list, num_qubits)
+                except ValueError as exc:
+                    raise CircuitParseError(line_number, str(exc)) from None
             saw_measure = True
             continue
 
@@ -192,12 +179,10 @@ def parse(text: str) -> Circuit:
                 + (" and an angle" if takes_phase else "")
                 + f", got {len(operands)} operand(s)",
             )
-        qubit_ops = []
-        for tok in operands[:arity]:
-            q = _parse_int(tok, line_number, "a qubit index")
-            if not 0 <= q < num_qubits:
-                raise CircuitParseError(line_number, f"qubit {q} out of range")
-            qubit_ops.append(q)
+        qubit_ops = [_parse_int(tok, line_number, "a qubit index") for tok in operands[:arity]]
+        # GateApplication checks the operands but for the register width.
+        if max(qubit_ops) >= num_qubits:
+            raise CircuitParseError(line_number, f"qubit {max(qubit_ops)} out of range")
         if takes_phase:
             try:
                 phi = float(operands[arity])
@@ -258,7 +243,8 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
     uniform per shot. Identical (circuit, shots, seed) produce identical
     counts.
     """
-    _check_shots(shots)
+    shots = _check_shots(shots)
+    rng = RandomSource(seed)
     _check_num_qubits(circuit.num_qubits)
     measured = circuit.measured_qubits
     if len(measured) > _MAX_OUTCOME_BITS:
@@ -273,7 +259,7 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
         for step in circuit.steps
     ))
     live = [j for j, q in enumerate(measured) if q in position]
-    counts = sample_counts(compact.final_state(), shots, RandomSource(seed),
+    counts = sample_counts(compact.final_state(), shots, rng,
                            qubits=[position[measured[j]] for j in live])
     if live != list(range(len(live))):
         # Bit i of a compact outcome is bit live[i] of the packed one. The
@@ -283,4 +269,4 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
         for i, j in enumerate(live):
             packed |= ((outcomes >> i) & 1) << j
         counts = dict(zip(packed.tolist(), counts.values()))
-    return RunResult(shots=shots, seed=seed, counts=counts, num_bits=len(measured))
+    return RunResult(shots=shots, seed=rng.seed, counts=counts, num_bits=len(measured))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import QuantumState
+from .state import QuantumState, _check_qubits, _is_int
 
 #: Per-entry tolerance for the unitarity check U^dagger U = I.
 UNITARY_TOLERANCE = 1e-12
@@ -173,8 +173,9 @@ def controlled_phase(phi: float) -> Gate:
 
 def custom_gate(arity: int, entries) -> Gate:
     """A user-supplied unitary on ``arity`` qubits, validated on construction."""
-    if not isinstance(arity, int) or arity < 1:
+    if not _is_int(arity) or arity < 1:
         raise ValueError(f"arity must be a positive integer, got {arity!r}")
+    arity = int(arity)
     matrix = np.array(entries, dtype=np.complex128)
     dim = 1 << arity
     if matrix.shape != (dim, dim):
@@ -209,16 +210,12 @@ class GateApplication:
     __slots__ = ("gate", "targets")
 
     def __init__(self, gate: Gate, targets: Sequence[int]):
-        targets = tuple(int(q) for q in targets)
+        targets = _check_qubits(targets)
         if len(targets) != gate.arity:
             raise ValueError(
                 f"gate {gate.name!r} acts on {gate.arity} qubit(s), "
                 f"got targets {targets}"
             )
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"duplicate target qubits in {targets}")
-        if any(q < 0 for q in targets):
-            raise ValueError(f"negative qubit index in {targets}")
         object.__setattr__(self, "gate", gate)
         object.__setattr__(self, "targets", targets)
 
@@ -366,12 +363,7 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
     scale slices.  Returns a new, validated state, or the input itself for
     the identity.
     """
-    n = state.num_qubits
-    targets = application.targets
-    if max(targets) >= n:
-        raise ValueError(
-            f"target qubit {max(targets)} out of range for {n}-qubit state"
-        )
+    _check_qubits(application.targets, state.num_qubits)
     if application.gate._plan() is None:
         return state
-    return _evolve(state.amplitudes, n, (application,))
+    return _evolve(state.amplitudes, state.num_qubits, (application,))

@@ -8,7 +8,8 @@ works on the ``[2]*n`` view of the register, with qubit ``q`` on axis
 ``n-1-q``: marginals are sums over axes, collapse keeps one slice.
 Repeated sampling sorts each batch of draws once, then counts every
 outcome of a small support at its CDF edge, or looks up every draw of a
-larger one; both give the counts of looking up each draw in turn.
+larger one; both give the counts of looking up each draw in turn.  Qubit
+lists, seeds and shot counts are checked by the rules in ``state``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import QuantumState, _owned, basis_state
+from .state import QuantumState, _check_qubits, _is_int, _owned, basis_state
 
 #: Second singular value below this means the bipartition factorizes.
 PRODUCT_TOLERANCE = 1e-9
@@ -43,7 +44,7 @@ class RandomSource:
     __slots__ = ("_seed", "_generator", "_draws")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < SEED_LIMIT:
+        if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed!r}")
         self._seed = int(seed)
         self._generator = np.random.Generator(np.random.PCG64(self._seed))
@@ -82,30 +83,18 @@ class MeasurementOutcome:
     post_state: QuantumState
 
 
-def _check_qubits(state: QuantumState, qubits: Iterable[int]) -> list[int]:
-    qubits = [int(q) for q in qubits]
-    for q in qubits:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(
-                f"qubit index {q} out of range for {state.num_qubits}-qubit state"
-            )
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices in {qubits}")
-    return qubits
-
-
 def marginal(state: QuantumState, bits: Mapping[int, int]) -> float:
     """Probability that the given qubits read the given bits.
 
-    ``bits`` maps qubit index to 0 or 1; an empty mapping yields 1.
+    ``bits`` maps qubit index to the integer 0 or 1; an empty mapping yields 1.
     """
-    qubits = _check_qubits(state, bits.keys())
+    qubits = _check_qubits(bits.keys(), state.num_qubits)
     if not qubits:
         return 1.0
-    for q in qubits:
-        if bits[q] not in (0, 1):
-            raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bits[q]!r}")
-    assignment = sum(bits[q] << j for j, q in enumerate(qubits))
+    for q, bit in bits.items():
+        if not _is_int(bit) or bit not in (0, 1):
+            raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bit!r}")
+    assignment = sum(int(bit) << j for j, bit in enumerate(bits.values()))
     return float(marginal_distribution(state, qubits)[assignment])
 
 
@@ -115,10 +104,10 @@ def marginal_distribution(state: QuantumState, qubits: Sequence[int]) -> np.ndar
     Entry ``a`` is the probability that qubit ``qubits[j]`` reads bit ``j``
     of ``a``, for all ``j`` simultaneously.
     """
-    qubits = _check_qubits(state, qubits)
     n = state.num_qubits
+    qubits = _check_qubits(qubits, n)
     probs = state.probabilities()
-    if qubits == list(range(n)):
+    if qubits == tuple(range(n)):
         return probs
     kept = sorted(qubits, reverse=True)  # axis order of the kept qubits
     summed = probs.reshape((2,) * n).sum(
@@ -177,7 +166,7 @@ def measure_qubits(
     The joint assignment is drawn directly from the subset's marginal
     distribution with a single uniform, then the state is projected once.
     """
-    qubits = _check_qubits(state, qubits)
+    qubits = _check_qubits(qubits, state.num_qubits)
     if not qubits:
         return MeasurementOutcome({}, state)
     assignment = _draw_index(marginal_distribution(state, qubits), rng.uniform())
@@ -185,13 +174,11 @@ def measure_qubits(
     return MeasurementOutcome(bits, _project(state, bits))
 
 
-def _check_shots(shots: int) -> None:
-    """Reject a shot count that is not an integer >= 1, before any work.
-
-    A bool is an ``int`` to Python but not a count, so it is rejected too.
-    """
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
+def _check_shots(shots: int) -> int:
+    """A shot count that is an integer >= 1, as an int, checked before any work."""
+    if not _is_int(shots) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    return int(shots)
 
 
 def _batch_counter(
@@ -252,11 +239,11 @@ def sample_counts(
     batch, else one CDF lookup per draw.  Either way the counts are those
     of looking up every draw, in draw order, in the whole CDF.
     """
-    _check_shots(shots)
+    shots = _check_shots(shots)
     if qubits is None:
         distribution = state.probabilities()
     else:
-        distribution = marginal_distribution(state, sorted(_check_qubits(state, qubits)))
+        distribution = marginal_distribution(state, sorted(_check_qubits(qubits, state.num_qubits)))
     count_batch = _batch_counter(distribution, min(shots, _SHOT_BATCH))
     del distribution  # the counter keeps what it needs
     # Batches draw the same stream as one call would, and counts are a
@@ -278,8 +265,8 @@ def is_product(state: QuantumState, left_qubits: Iterable[int]) -> bool:
     The amplitude vector reshaped into a (left, rest) matrix has numerical
     rank 1 exactly for product states; checked via the second singular value.
     """
-    left = sorted(_check_qubits(state, left_qubits))
     n = state.num_qubits
+    left = sorted(_check_qubits(left_qubits, n))
     if not left or len(left) == n:
         raise ValueError("left_qubits must be a nonempty proper subset")
     right = [q for q in range(n) if q not in left]

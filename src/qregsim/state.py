@@ -7,14 +7,17 @@ every operation returns a new state and never mutates its inputs.
 
 Input is checked once, where it enters, and a width against the cap before
 anything is allocated. ``QuantumState(...)`` checks width, shape and norm.
-States the library builds from unit-norm pieces are wrapped by ``_owned``
-unchecked; a gate sequence checks its result once, at the end.
+Every module's integer arguments pass ``_is_int`` (an ``int`` or numpy
+integer, never a ``bool``, float or string) and become ``int``; its qubit
+lists pass ``_check_qubits``.  States the library builds from unit-norm
+pieces are wrapped by ``_owned`` unchecked; a gate sequence checks its
+result once, at the end.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +32,25 @@ NORM_TOLERANCE = 1e-9
 _max_qubits = DEFAULT_MAX_QUBITS
 
 
+def _is_int(value) -> bool:
+    """The integer rule: an ``int`` or numpy integer, but not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_qubits(qubits: Iterable, num_qubits: int | float = math.inf) -> tuple[int, ...]:
+    """Distinct integer qubit indices in ``[0, num_qubits)``, as a tuple of ints."""
+    checked = []
+    for q in qubits:
+        if not _is_int(q):
+            raise ValueError(f"qubit index {q!r} is not an integer")
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range")
+        checked.append(int(q))
+    if len(set(checked)) != len(checked):
+        raise ValueError(f"duplicate qubit indices in {tuple(checked)}")
+    return tuple(checked)
+
+
 def get_max_qubits() -> int:
     """Current register-width cap."""
     return _max_qubits
@@ -40,22 +62,24 @@ def set_max_qubits(cap: int) -> None:
     The cap is process-global, not per thread: set it once at startup.
     """
     global _max_qubits
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise ValueError(f"qubit cap must be a positive integer, got {cap!r}")
-    _max_qubits = cap
+    _max_qubits = int(cap)
 
 
-def _check_num_qubits(num_qubits: int) -> None:
-    if not isinstance(num_qubits, int) or num_qubits < 1:
+def _check_num_qubits(num_qubits: int) -> int:
+    """A register width within the cap, as an int."""
+    if not _is_int(num_qubits) or num_qubits < 1:
         raise ValueError(f"num_qubits must be a positive integer, got {num_qubits!r}")
     if num_qubits > _max_qubits:
         raise ValueError(
             f"num_qubits={num_qubits} exceeds the configured cap of {_max_qubits}"
         )
+    return int(num_qubits)
 
 
 def _check_index(index: int, num_qubits: int) -> None:
-    if not isinstance(index, (int, np.integer)) or not 0 <= index < (1 << num_qubits):
+    if not _is_int(index) or not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index!r} out of range for {num_qubits} qubits")
 
 
@@ -69,7 +93,7 @@ class QuantumState:
     __slots__ = ("_num_qubits", "_amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes, *, copy: bool = True):
-        _check_num_qubits(num_qubits)
+        num_qubits = _check_num_qubits(num_qubits)
         amps = np.array(amplitudes, dtype=np.complex128, copy=copy or None)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
@@ -127,7 +151,7 @@ def _owned(num_qubits: int, amps: np.ndarray) -> QuantumState:
 
 def basis_state(num_qubits: int, index: int) -> QuantumState:
     """The computational basis state |index> on ``num_qubits`` qubits."""
-    _check_num_qubits(num_qubits)
+    num_qubits = _check_num_qubits(num_qubits)
     _check_index(index, num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
@@ -161,6 +185,5 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
 
     The amplitude at index ``i_a * 2**n_b + i_b`` is ``a[i_a] * b[i_b]``.
     """
-    combined = a.num_qubits + b.num_qubits
-    _check_num_qubits(combined)
+    combined = _check_num_qubits(a.num_qubits + b.num_qubits)
     return _owned(combined, np.kron(a.amplitudes, b.amplitudes))

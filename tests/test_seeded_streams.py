@@ -160,6 +160,13 @@ def corpus():
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
+def test_corpus_lists_the_inputs_in_order(corpus):
+    # So --record rewrites no entry it did not draw, and one appended by
+    # hand must also be appended to _inputs().
+    expected = json.loads(json.dumps([[kind, args] for kind, args in _inputs()]))
+    assert [[e["kind"], e["args"]] for e in corpus] == expected
+
+
 @pytest.mark.parametrize("kind", sorted(RUNNERS))
 def test_entries_replay_unchanged(corpus, kind):
     entries = [e for e in corpus if e["kind"] == kind]

@@ -6,6 +6,8 @@ the library builds from unit-norm pieces skip it, so these tests pin both
 halves: the call counts, and that every such state is in fact unit-norm.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,25 +16,44 @@ from hypothesis import strategies as st
 from qregsim import (
     HADAMARD,
     NORM_TOLERANCE,
+    NOT,
+    Circuit,
+    Gate,
     GateApplication,
     QuantumState,
     RandomSource,
     apply,
     basis_state,
+    custom_gate,
     from_amplitudes,
+    get_max_qubits,
+    is_product,
+    marginal,
+    marginal_distribution,
     measure_all,
     measure_qubits,
     parse_circuit,
     run_circuit,
+    sample_counts,
+    set_max_qubits,
     tensor,
 )
 from qregsim.algorithms import (
     Oracle,
+    amplified_state,
+    classical_walk_line,
+    count_marked,
     grover,
     grover_search,
+    inverse_qft,
     qam_query,
     qam_store,
+    qft,
+    qft_applications,
+    qrng,
+    quantum_walk_line,
     shor,
+    shor_factor,
     shor_period,
     uniform_superposition,
 )
@@ -168,3 +189,148 @@ class TestLibraryBuiltStatesAreUnitNorm:
             shor_period(a, mod_n, RandomSource(seed))
         assert combs
         assert max(_norm_error(comb) for comb in combs) <= NORM_TOLERANCE
+
+
+# The integer rule: widths, counts, indices, seeds, radii and qubit indices
+# are an ``int`` or a numpy integer.  Anything else, a bool included, raises
+# ValueError where it enters, before any RandomSource draw.
+
+NOT_INTEGERS = (2.5, True, np.float64(2.0), "3")
+
+_PAIR = Oracle(2, (1).__eq__)
+
+#: Every public entry point that takes an integer argument or a qubit list:
+#: ``{argument: call(value, rng)}``, which passes ``value`` in that argument.
+INTEGER_ARGUMENTS = {
+    "QuantumState": {"num_qubits": lambda v, rng: QuantumState(v, [1, 0])},
+    "QuantumState.probability": {"index": lambda v, rng: _STATE.probability(v)},
+    "basis_state": {
+        "num_qubits": lambda v, rng: basis_state(v, 0),
+        "index": lambda v, rng: basis_state(2, v),
+    },
+    "from_amplitudes": {"num_qubits": lambda v, rng: from_amplitudes(v, [1, 0])},
+    "set_max_qubits": {"cap": lambda v, rng: set_max_qubits(v)},
+    "custom_gate": {"arity": lambda v, rng: custom_gate(v, np.eye(2))},
+    "GateApplication": {"targets": lambda v, rng: GateApplication(NOT, [v])},
+    "Circuit": {
+        "num_qubits": lambda v, rng: Circuit(v).final_state(),
+        "terminal_measure": lambda v, rng: Circuit(2, (), (v,)),
+    },
+    "run_circuit": {
+        "shots": lambda v, rng: run_circuit(Circuit(2), v, 0),
+        "seed": lambda v, rng: run_circuit(Circuit(2), 10, v),
+    },
+    "RandomSource": {"seed": lambda v, rng: RandomSource(v)},
+    "marginal": {
+        "qubit": lambda v, rng: marginal(_STATE, {v: 1}),
+        "bit": lambda v, rng: marginal(_STATE, {0: v}),
+    },
+    "marginal_distribution": {"qubits": lambda v, rng: marginal_distribution(_STATE, [v])},
+    "measure_qubits": {"qubits": lambda v, rng: measure_qubits(_STATE, [v], rng)},
+    "sample_counts": {
+        "shots": lambda v, rng: sample_counts(_STATE, v, rng),
+        "qubits": lambda v, rng: sample_counts(_STATE, 5, rng, qubits=[v]),
+    },
+    "is_product": {"left_qubits": lambda v, rng: is_product(_STATE, [v])},
+    "uniform_superposition": {"num_qubits": lambda v, rng: uniform_superposition(v)},
+    "count_marked": {"Oracle.num_qubits": lambda v, rng: count_marked(Oracle(v, bool))},
+    "amplified_state": {"marked_count": lambda v, rng: amplified_state(_PAIR, v)},
+    "grover_search": {
+        "Oracle.num_qubits": lambda v, rng: grover_search(Oracle(v, bool), 1, rng),
+        "marked_count": lambda v, rng: grover_search(_PAIR, v, rng),
+    },
+    "qam_query": {"radius": lambda v, rng: qam_query(_MEMORY, "11110", v, rng)},
+    "qft": {"qubits": lambda v, rng: qft(_STATE, [v])},
+    "inverse_qft": {"qubits": lambda v, rng: inverse_qft(_STATE, [v])},
+    "qft_applications": {"qubits": lambda v, rng: qft_applications([v])},
+    "qrng": {
+        "num_bits": lambda v, rng: qrng(v, 1, rng),
+        "chunk": lambda v, rng: qrng(4, v, rng),
+    },
+    "shor_factor": {"mod_n": lambda v, rng: shor_factor(v, rng)},
+    "shor_period": {
+        "a": lambda v, rng: shor_period(v, 15, rng),
+        "mod_n": lambda v, rng: shor_period(2, v, rng),
+    },
+    "quantum_walk_line": {"steps": lambda v, rng: quantum_walk_line(v)},
+    "classical_walk_line": {"steps": lambda v, rng: classical_walk_line(v)},
+}
+
+
+@pytest.fixture
+def restore_cap():
+    cap = get_max_qubits()
+    yield
+    set_max_qubits(cap)
+
+
+def _circuit(i):
+    return Circuit(i(3), (GateApplication(HADAMARD, (i(2),)),), (i(2), i(0)))
+
+
+#: Entry points that carry an integer argument into their output or their
+#: arithmetic: ``call(integer, rng)`` passes every integer argument through
+#: ``integer``, so an ``np.int64`` call can be compared with the ``int`` one.
+SAME_AS_INT = {
+    "QuantumState": lambda i, rng: QuantumState(i(1), [0.6, 0.8]),
+    "basis_state": lambda i, rng: basis_state(i(3), i(5)),
+    "from_amplitudes": lambda i, rng: from_amplitudes(i(1), [0.6, 0.8]),
+    "set_max_qubits": lambda i, rng: (set_max_qubits(i(20)), get_max_qubits()),
+    "custom_gate": lambda i, rng: custom_gate(i(1), np.eye(2)),
+    "Circuit": lambda i, rng: (_circuit(i), _circuit(i).final_state()),
+    "run_circuit": lambda i, rng: run_circuit(_circuit(i), i(100), i(7)),
+    "uniform_superposition": lambda i, rng: uniform_superposition(i(3)),
+    "grover_search": lambda i, rng: grover_search(Oracle(i(3), (5).__eq__), i(1), rng),
+    "qrng": lambda i, rng: qrng(i(64), i(1), rng),
+    "shor_factor": lambda i, rng: shor_factor(i(15), rng),
+    "shor_period": lambda i, rng: shor_period(i(7), i(15), rng),
+    "quantum_walk_line": lambda i, rng: quantum_walk_line(i(40)),
+    "classical_walk_line": lambda i, rng: classical_walk_line(i(40)),
+}
+
+
+def _fingerprint(value):
+    """``value`` as nested tuples of type names and contents: equal
+    fingerprints mean outputs equal in every field, type and bit."""
+    if isinstance(value, QuantumState):
+        value = {"num_qubits": value.num_qubits, "amplitudes": value.amplitudes}
+    elif isinstance(value, Gate):
+        value = {"name": value.name, "arity": value.arity, "matrix": value.matrix}
+    elif dataclasses.is_dataclass(value):
+        value = vars(value)
+    elif hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return "dict", tuple((_fingerprint(k), _fingerprint(v)) for k, v in value.items())
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(_fingerprint, value))
+    return type(value).__name__, value
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("entry_point", INTEGER_ARGUMENTS)
+    def test_non_integers_raise_before_any_draw(self, restore_cap, entry_point):
+        wrong = []
+        for argument, call in INTEGER_ARGUMENTS[entry_point].items():
+            for value in NOT_INTEGERS:
+                rng = RandomSource(0)
+                try:
+                    call(value, rng)
+                    outcome = "accepted"
+                except ValueError:
+                    outcome = f"{rng.draw_count} draw(s) first" if rng.draw_count else None
+                except Exception as exc:  # any other error is wrong too
+                    outcome = f"{type(exc).__name__}: {exc}"
+                if outcome:
+                    wrong.append(f"{argument}={value!r}: {outcome}")
+        assert not wrong
+
+    @pytest.mark.parametrize("entry_point", SAME_AS_INT)
+    def test_numpy_integers_act_as_ints(self, restore_cap, entry_point):
+        outputs = []
+        for integer in (int, np.int64):
+            rng = RandomSource(3)
+            outputs.append((_fingerprint(SAME_AS_INT[entry_point](integer, rng)), rng.draw_count))
+        assert outputs[1] == outputs[0]
