@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,8 @@ class Oracle:
     """A total predicate over the n-qubit basis indices, marking solutions.
 
     The predicate must be deterministic: it is evaluated once per index, on
-    the first ``marked_indices`` call, and the result is reused.
+    the first ``marked_indices`` call, and the cached property ``_marked``
+    keeps the result for every later call.
     """
 
     num_qubits: int
@@ -43,21 +44,21 @@ class Oracle:
         if _is_int(self.num_qubits):
             object.__setattr__(self, "num_qubits", int(self.num_qubits))
 
+    @cached_property
+    def _marked(self) -> np.ndarray:
+        """The marked indices, enumerated once per oracle on first use."""
+        _check_num_qubits(self.num_qubits)
+        marked = np.fromiter(filter(self.predicate, range(1 << self.num_qubits)), dtype=np.intp)
+        marked.flags.writeable = False
+        return marked
+
     def marked_indices(self) -> np.ndarray:
         """All marked basis indices in ascending order (read-only array).
 
         Enumerates the predicate over every index on the first call only,
         after checking ``num_qubits`` against the register cap.
         """
-        marked = self.__dict__.get("_marked")
-        if marked is None:
-            _check_num_qubits(self.num_qubits)
-            marked = np.fromiter(
-                filter(self.predicate, range(1 << self.num_qubits)), dtype=np.intp
-            )
-            marked.flags.writeable = False
-            object.__setattr__(self, "_marked", marked)  # the dataclass is frozen
-        return marked
+        return self._marked
 
 
 class GroverResult(NamedTuple):

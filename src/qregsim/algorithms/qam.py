@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,22 +25,21 @@ from .grover import amplify, iteration_count
 
 @dataclass(frozen=True)
 class PatternMemory:
-    """Distinct stored bit patterns and their superposition state."""
+    """Distinct stored bit patterns and their superposition state.
+
+    The cached property ``_codes`` parses the patterns once, on the first
+    query, for every query of this memory.
+    """
 
     pattern_length: int
     patterns: tuple[str, ...]
     state: QuantumState
 
+    @cached_property
     def _codes(self) -> np.ndarray:
-        """The patterns as integers, in stored order (read-only array).
-
-        Parsed on the first call only, and reused by every query.
-        """
-        codes = self.__dict__.get("_parsed_codes")
-        if codes is None:
-            codes = np.array([int(p, 2) for p in self.patterns], dtype=np.intp)
-            codes.flags.writeable = False
-            object.__setattr__(self, "_parsed_codes", codes)  # the dataclass is frozen
+        """The patterns as integers, in stored order (read-only array)."""
+        codes = np.array([int(p, 2) for p in self.patterns], dtype=np.intp)
+        codes.flags.writeable = False
         return codes
 
 
@@ -88,7 +88,7 @@ def qam_query(
     if not _is_int(radius) or radius < 0:
         raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
     radius = int(radius)
-    codes = memory._codes()
+    codes = memory._codes
     distances = np.bitwise_count(codes ^ int(query, 2))
     marked = codes[distances <= radius]
     if not marked.size:

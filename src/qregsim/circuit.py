@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .gates import Gate, GateApplication
+from .gates import GateApplication
 from .measurement import RandomSource, _check_shots, sample_counts
 from .state import QuantumState, _check_num_qubits, _check_qubits, _is_int, get_max_qubits
 from .state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections.abc import Sequence
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -59,47 +59,48 @@ class _Plan(NamedTuple):
     products: bool
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Gate:
     """A named unitary acting on a fixed number of qubits.
 
-    Instances are immutable.  Use the module-level constants (IDENTITY, NOT,
-    HADAMARD, CNOT, EXCHANGE, TOFFOLI, FREDKIN) and the factories
-    phase_shift(), controlled_phase() and custom_gate().
+    Gates are immutable, hashable values.  Use the module-level constants
+    (IDENTITY, NOT, HADAMARD, CNOT, EXCHANGE, TOFFOLI, FREDKIN) and the
+    factories phase_shift(), controlled_phase() and custom_gate().
 
-    The constructor does not check unitarity; custom_gate() does.  A
-    non-unitary raw gate is caught where states are validated: by apply()
-    on its output, and by a gate sequence (Circuit.final_state, qft,
-    inverse_qft) only at the end, when the final state is not normalized.
+    The constructor checks that ``arity`` is a positive integer and the
+    matrix is 2**arity square, and stores the matrix read-only.  It does not
+    check unitarity; custom_gate() does.  A non-unitary raw gate is caught
+    where states are validated: by apply() on its output, and by a gate
+    sequence (Circuit.final_state, qft, inverse_qft) only at the end, when
+    the final state is not normalized.  Equality compares the name, ``phi``
+    and the matrix entries; the hash uses the name and ``phi``.
     """
 
-    __slots__ = ("name", "arity", "matrix", "phi", "_kernel_plan")
+    name: str
+    arity: int
+    matrix: np.ndarray
+    phi: float | None = None
 
-    def __init__(self, name: str, arity: int, matrix: np.ndarray, phi: float | None = None):
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.shape != (1 << arity, 1 << arity):
+    def __post_init__(self):
+        if not _is_int(self.arity) or self.arity < 1:
+            raise ValueError(f"arity must be a positive integer, got {self.arity!r}")
+        object.__setattr__(self, "arity", int(self.arity))
+        dim = 1 << self.arity
+        matrix = np.asarray(self.matrix, dtype=np.complex128)
+        if matrix.shape != (dim, dim):
             raise ValueError(
-                f"gate {name!r} needs a {1 << arity}x{1 << arity} matrix, "
-                f"got shape {matrix.shape}"
+                f"gate {self.name!r} needs a {dim}x{dim} matrix, got shape {matrix.shape}"
             )
         matrix.flags.writeable = False
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "phi", phi)
 
-    def __setattr__(self, key, value):
-        raise AttributeError("Gate instances are immutable")
-
+    @cached_property
     def _plan(self) -> _Plan | None:
         """How the kernel applies this gate; None for the identity.
 
-        Built on first use, so gates never applied cost nothing here.
+        Built on first use, once per gate, so gates never applied cost
+        nothing here.
         """
-        if not hasattr(self, "_kernel_plan"):
-            object.__setattr__(self, "_kernel_plan", self._build_plan())
-        return self._kernel_plan
-
-    def _build_plan(self) -> _Plan | None:
         terms = [
             tuple((c, u) for c, u in enumerate(row) if u) or ((r, 0),)
             for r, row in enumerate(self.matrix.tolist())
@@ -172,27 +173,22 @@ def controlled_phase(phi: float) -> Gate:
 
 
 def custom_gate(arity: int, entries) -> Gate:
-    """A user-supplied unitary on ``arity`` qubits, validated on construction."""
-    if not _is_int(arity) or arity < 1:
-        raise ValueError(f"arity must be a positive integer, got {arity!r}")
-    arity = int(arity)
-    matrix = np.array(entries, dtype=np.complex128)
-    dim = 1 << arity
-    if matrix.shape != (dim, dim):
-        raise ValueError(
-            f"custom gate of arity {arity} needs a {dim}x{dim} matrix, "
-            f"got shape {matrix.shape}"
-        )
+    """A user-supplied unitary on ``arity`` qubits, validated on construction.
+
+    ``entries`` is copied, so the caller's array stays writable.
+    """
+    gate = Gate("custom", arity, np.array(entries, dtype=np.complex128))
+    matrix = gate.matrix
     if not (np.all(np.isfinite(matrix.real)) and np.all(np.isfinite(matrix.imag))):
         raise ValueError("custom gate matrix contains a non-finite entry")
-    deviation = np.abs(matrix.conj().T @ matrix - np.eye(dim))
+    deviation = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix)))
     worst = np.unravel_index(np.argmax(deviation), deviation.shape)
     if deviation[worst] > UNITARY_TOLERANCE:
         raise ValueError(
             "custom gate matrix is not unitary: max deviation "
             f"{deviation[worst]:.3e} at entry {tuple(int(i) for i in worst)}"
         )
-    return Gate("custom", arity, matrix)
+    return gate
 
 
 def matrix_of(gate: Gate) -> np.ndarray:
@@ -200,32 +196,28 @@ def matrix_of(gate: Gate) -> np.ndarray:
     return gate.matrix
 
 
+@dataclass(frozen=True, repr=False)
 class GateApplication:
     """A gate bound to an ordered tuple of distinct target qubits.
 
     Control qubits come first: CNOT is [control, target], Toffoli is
     [control1, control2, target], Fredkin is [control, swap_a, swap_b].
+    Any sequence of integer qubits is accepted and stored as a tuple of
+    ints.  Applications are immutable, hashable values, equal when their
+    gates and targets are.
     """
 
-    __slots__ = ("gate", "targets")
+    gate: Gate
+    targets: tuple[int, ...]
 
-    def __init__(self, gate: Gate, targets: Sequence[int]):
-        targets = _check_qubits(targets)
-        if len(targets) != gate.arity:
+    def __post_init__(self):
+        targets = _check_qubits(self.targets)
+        if len(targets) != self.gate.arity:
             raise ValueError(
-                f"gate {gate.name!r} acts on {gate.arity} qubit(s), "
+                f"gate {self.gate.name!r} acts on {self.gate.arity} qubit(s), "
                 f"got targets {targets}"
             )
-        object.__setattr__(self, "gate", gate)
         object.__setattr__(self, "targets", targets)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("GateApplication instances are immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GateApplication):
-            return NotImplemented
-        return self.gate == other.gate and self.targets == other.targets
 
     def __repr__(self) -> str:
         return f"GateApplication({self.gate!r}, targets={self.targets})"
@@ -345,7 +337,7 @@ def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
     """
     owned = amplitudes.flags.writeable
     for step in steps:
-        plan = step.gate._plan()
+        plan = step.gate._plan
         if plan is None:
             continue
         if not owned:
@@ -364,6 +356,6 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
     the identity.
     """
     _check_qubits(application.targets, state.num_qubits)
-    if application.gate._plan() is None:
+    if application.gate._plan is None:
         return state
     return _evolve(state.amplitudes, state.num_qubits, (application,))

@@ -63,7 +63,9 @@ class RandomSource:
         return float(self._generator.random())
 
     def uniforms(self, count: int) -> np.ndarray:
-        self._draws += count
+        if not _is_int(count) or count < 0:
+            raise ValueError(f"count must be an integer >= 0, got {count!r}")
+        self._draws += int(count)
         return self._generator.random(count)
 
     def integer(self, low: int, high: int) -> int:

@@ -50,6 +50,12 @@ class TestParse:
         )
         assert circuit.terminal_measure is None
 
+    def test_equal_parses_hash_equal(self):
+        text = "qubits 3\nh 0\nphase 1 0.5\ncnot 0 2\ncphase 2 1 -1.25\nmeasure 0 2\n"
+        first, second = parse_circuit(text), parse_circuit(text)
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, parse_circuit(BELL_TEXT)}) == 2
+
     def test_phase_gate(self):
         circuit = parse_circuit("qubits 1\nphase 0 3.14159265")
         step = circuit.steps[0]

@@ -284,6 +284,64 @@ class TestGateProperties:
         assert abs(norm - 1.0) < 1e-9
 
 
+def _fresh_step(kind, phi, qubits):
+    """A GateApplication of ``kind`` on the first qubits of ``qubits``, with
+    a newly built gate object for the phase and custom kinds."""
+    if kind == "phase":
+        gate = phase_shift(phi)
+    elif kind == "cphase":
+        gate = controlled_phase(phi)
+    elif kind == "custom":
+        gate = custom_gate(1, np.diag([1, np.exp(1j * phi)]))
+    else:
+        gate = {g.name: g for g in all_gate_kinds()}[kind]
+    return GateApplication(gate, list(qubits[: gate.arity]))
+
+
+_STEP_PARAMETERS = st.tuples(
+    st.sampled_from([g.name for g in all_gate_kinds()] + ["custom"]),
+    st.sampled_from((0.0, -0.0, math.pi / 7, math.pi)),
+    st.permutations(range(3)),
+)
+
+
+class TestValues:
+    """Gates, gate applications and circuits are immutable, hashable values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STEP_PARAMETERS, _STEP_PARAMETERS)
+    def test_equal_applications_hash_equal(self, first, second):
+        a, b, c = _fresh_step(*first), _fresh_step(*first), _fresh_step(*second)
+        assert a == b and hash(a) == hash(b)
+        if a == c:
+            assert hash(a) == hash(c)
+
+    def test_fields_cannot_be_assigned(self):
+        step = GateApplication(CNOT, (1, 0))
+        circuit = Circuit(2, (step,))
+        for value, name in ((HADAMARD, "name"), (HADAMARD, "arity"), (HADAMARD, "matrix"),
+                            (step, "gate"), (step, "targets"), (circuit, "steps")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
+    def test_plan_built_once_per_gate(self, monkeypatch):
+        built = []
+        cached = Gate.__dict__["_plan"]  # a functools.cached_property
+        build = cached.func
+
+        def recording(gate):
+            built.append(gate)
+            return build(gate)
+
+        monkeypatch.setattr(cached, "func", recording)
+        gate, twin = phase_shift(0.25), phase_shift(0.25)
+        steps = tuple(GateApplication(g, (q,)) for g in (gate, twin) for q in (0, 1, 2, 0))
+        Circuit(3, steps).final_state()
+        apply(basis_state(3, 7), steps[0])
+        assert [id(g) for g in built] == [id(gate), id(twin)]
+        assert gate._plan is gate._plan
+
+
 def _row_numbers(indices):
     """Plan row indices (bit tuples ending in Ellipsis) as matrix row numbers."""
     return [int("".join(str(b) for b in index[:-1]), 2) for index in indices]
@@ -307,7 +365,7 @@ class TestSequenceKernel:
     def test_strategy_per_kind(self, gate, skips_rows):
         """Identity rows are skipped; a row another row reads, or a
         multi-term row reads, is parked; a row that only scales itself is not."""
-        plan = gate._plan()
+        plan = gate._plan
         written, parked = self.ROWS[gate.name]
         assert (len(plan.rows) < 1 << gate.arity) is skips_rows
         assert _row_numbers(r for r, _ in plan.rows) == written
@@ -365,13 +423,13 @@ class TestSequenceKernel:
         for _ in range(300):
             arity = int(rng.integers(1, 5))
             gate = custom_gate(arity, _random_monomial(arity, rng))
-            if gate._plan() is None:
+            if gate._plan is None:
                 continue
-            seen.add(bool(gate._plan().parked))
+            seen.add(bool(gate._plan.parked))
             step = GateApplication(gate, tuple(int(q) for q in rng.permutation(n)[:arity]))
             got = gates._evolve(amps.copy(), n, [step]).amplitudes
             want = amps.copy()
-            update_reference(gate._plan(), step.targets, want)
+            update_reference(gate._plan, step.targets, want)
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == apply(start, step).amplitudes.tobytes()
             np.testing.assert_allclose(got, kron_embed(matrix_of(gate), step.targets, n) @ amps,
@@ -434,7 +492,7 @@ class TestKernelAgainstReference:
         for n in range(1, 6):
             amps = random_state_vector(n, rng)
             for gate in kinds:
-                plan = gate._plan()
+                plan = gate._plan
                 if plan is None:
                     continue
                 for targets in itertools.permutations(range(n), gate.arity):
@@ -457,8 +515,8 @@ class TestKernelAgainstReference:
                 for _ in range(8):
                     amps = random_state_vector(arity, rng)
                     got, want = amps.copy(), amps.copy()
-                    gates._update(gate._plan(), targets, got)
-                    update_reference(gate._plan(), targets, want)
+                    gates._update(gate._plan, targets, got)
+                    update_reference(gate._plan, targets, want)
                     assert got.tobytes() == want.tobytes(), (gate, targets)
 
     @pytest.mark.parametrize("n", range(3, 13))
@@ -487,7 +545,7 @@ class TestLayout:
 
         monkeypatch.setattr(gates, "_layout", recording_layout)
         amps = random_state_vector(6, np.random.default_rng(90))
-        gates._update(NOT._plan(), (2,), amps)
+        gates._update(NOT._plan, (2,), amps)
         assert [len(u.chunks) for u in used] == [chunks]
 
     def test_repeated_transform_adds_no_layout(self):

@@ -116,17 +116,19 @@ class TestQuery:
     def test_codes_parsed_once_per_memory(self, monkeypatch):
         memory = qam_store(["0110", "1111", "0001"])
         parsed = []
-        codes_of = PatternMemory._codes
+        cached = PatternMemory.__dict__["_codes"]  # a functools.cached_property
+        parse = cached.func
 
         def recording(self):
-            parsed.append("_parsed_codes" not in self.__dict__)
-            return codes_of(self)
+            parsed.append(self)
+            return parse(self)
 
-        monkeypatch.setattr(PatternMemory, "_codes", recording)
+        monkeypatch.setattr(cached, "func", recording)
         for seed in range(3):
             qam_query(memory, "0111", 1, RandomSource(seed))
-        assert parsed == [True, False, False]
-        codes = memory._codes()
+        assert parsed == [memory]
+        codes = memory._codes
+        assert codes is memory._codes
         assert codes.tolist() == [0b0110, 0b1111, 0b0001]
         assert not codes.flags.writeable
 

@@ -211,6 +211,7 @@ INTEGER_ARGUMENTS = {
     "from_amplitudes": {"num_qubits": lambda v, rng: from_amplitudes(v, [1, 0])},
     "set_max_qubits": {"cap": lambda v, rng: set_max_qubits(v)},
     "custom_gate": {"arity": lambda v, rng: custom_gate(v, np.eye(2))},
+    "Gate": {"arity": lambda v, rng: Gate("g", v, np.eye(2))},
     "GateApplication": {"targets": lambda v, rng: GateApplication(NOT, [v])},
     "Circuit": {
         "num_qubits": lambda v, rng: Circuit(v).final_state(),
@@ -221,6 +222,7 @@ INTEGER_ARGUMENTS = {
         "seed": lambda v, rng: run_circuit(Circuit(2), 10, v),
     },
     "RandomSource": {"seed": lambda v, rng: RandomSource(v)},
+    "RandomSource.uniforms": {"count": lambda v, rng: rng.uniforms(v)},
     "marginal": {
         "qubit": lambda v, rng: marginal(_STATE, {v: 1}),
         "bit": lambda v, rng: marginal(_STATE, {0: v}),
@@ -277,6 +279,8 @@ SAME_AS_INT = {
     "from_amplitudes": lambda i, rng: from_amplitudes(i(1), [0.6, 0.8]),
     "set_max_qubits": lambda i, rng: (set_max_qubits(i(20)), get_max_qubits()),
     "custom_gate": lambda i, rng: custom_gate(i(1), np.eye(2)),
+    "Gate": lambda i, rng: Gate("g", i(1), np.eye(2)),
+    "RandomSource.uniforms": lambda i, rng: (rng.uniforms(i(4)), rng.draw_count),
     "Circuit": lambda i, rng: (_circuit(i), _circuit(i).final_state()),
     "run_circuit": lambda i, rng: run_circuit(_circuit(i), i(100), i(7)),
     "uniform_superposition": lambda i, rng: uniform_superposition(i(3)),
