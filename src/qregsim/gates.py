@@ -11,9 +11,10 @@ The kernel keeps that axis order but merges each run of adjacent non-target
 axes into one dimension, with the view's shape, transpose and chunk walk
 computed once per target tuple and register width.  One driver runs every
 gate sequence, from a single ``apply`` to a whole circuit or transform: it
-copies a caller's read-only amplitudes once, updates that one buffer in
-place for every gate, with a scratch buffer of a few chunk rows, and
-validates the state once at the end.
+copies a caller's read-only amplitudes once and updates that one buffer in
+place for every gate, with a scratch buffer of a few chunk rows.  Every
+``Gate`` is checked unitary where it is made, so a gate sequence maps a
+unit-norm state to a unit-norm state and its output is not checked again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .state import QuantumState, _check_qubits, _is_int
+from .state import QuantumState, _check_qubits, _is_int, _owned
 
 #: Per-entry tolerance for the unitarity check U^dagger U = I.
 UNITARY_TOLERANCE = 1e-12
@@ -43,8 +44,8 @@ class _Plan(NamedTuple):
     """How ``_update`` applies one gate in place.
 
     ``rows`` lists each row the gate writes, with its nonzero (column,
-    entry) terms; identity rows are skipped, and an all-zero row keeps one
-    zero term.  Indices are bit tuples with a trailing Ellipsis, so they
+    entry) terms; identity rows are skipped, and a unitary has no all-zero
+    row.  Indices are bit tuples with a trailing Ellipsis, so they
     index views even when the gate spans every axis.  ``parked`` lists the
     rows copied to scratch before any row is written: those another row
     reads and those a multi-term row reads.  A row that only scales itself
@@ -68,12 +69,12 @@ class Gate:
     factories phase_shift(), controlled_phase() and custom_gate().
 
     The constructor checks that ``arity`` is a positive integer and the
-    matrix is 2**arity square, and stores the matrix read-only.  It does not
-    check unitarity; custom_gate() does.  A non-unitary raw gate is caught
-    where states are validated: by apply() on its output, and by a gate
-    sequence (Circuit.final_state, qft, inverse_qft) only at the end, when
-    the final state is not normalized.  Equality compares the name, ``phi``
-    and the matrix entries; the hash uses the name and ``phi``.
+    matrix is 2**arity square, finite and unitary (every entry of
+    U^dagger U within UNITARY_TOLERANCE of the identity), and stores a
+    read-only copy, so the caller's array stays writable.  Every gate is
+    thus a checked unitary, and no gate sequence checks its output state
+    again.  Equality compares the name, ``phi`` and the matrix entries; the
+    hash uses the name and ``phi``.
     """
 
     name: str
@@ -85,11 +86,21 @@ class Gate:
         if not _is_int(self.arity) or self.arity < 1:
             raise ValueError(f"arity must be a positive integer, got {self.arity!r}")
         object.__setattr__(self, "arity", int(self.arity))
-        dim = 1 << self.arity
-        matrix = np.asarray(self.matrix, dtype=np.complex128)
+        matrix = np.array(self.matrix, dtype=np.complex128)
+        # Array dimensions stay below 2**63, so no larger power of two is
+        # built or printed: a huge arity fails fast, with this message.
+        dim = 1 << min(self.arity, 63)
         if matrix.shape != (dim, dim):
+            size = f"{dim}x{dim}" if self.arity < 63 else f"2**{self.arity}-square"
+            raise ValueError(f"gate {self.name!r} needs a {size} matrix, got shape {matrix.shape}")
+        # A non-finite entry makes the deviation NaN or inf, which fails too.
+        with np.errstate(invalid="ignore"):
+            deviation = np.abs(matrix.conj().T @ matrix - np.eye(dim))
+        worst = divmod(int(np.argmax(deviation)), dim)  # the first NaN, if any
+        if not deviation[worst] <= UNITARY_TOLERANCE:
             raise ValueError(
-                f"gate {self.name!r} needs a {dim}x{dim} matrix, got shape {matrix.shape}"
+                f"gate {self.name!r} matrix is not a finite unitary: max deviation "
+                f"{deviation[worst]:.3e} at entry {worst}"
             )
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -102,8 +113,8 @@ class Gate:
         nothing here.
         """
         terms = [
-            tuple((c, u) for c, u in enumerate(row) if u) or ((r, 0),)
-            for r, row in enumerate(self.matrix.tolist())
+            tuple((c, u) for c, u in enumerate(row) if u)
+            for row in self.matrix.tolist()
         ]
         written = [r for r, t in enumerate(terms) if t != ((r, 1),)]
         if not written:
@@ -173,22 +184,8 @@ def controlled_phase(phi: float) -> Gate:
 
 
 def custom_gate(arity: int, entries) -> Gate:
-    """A user-supplied unitary on ``arity`` qubits, validated on construction.
-
-    ``entries`` is copied, so the caller's array stays writable.
-    """
-    gate = Gate("custom", arity, np.array(entries, dtype=np.complex128))
-    matrix = gate.matrix
-    if not (np.all(np.isfinite(matrix.real)) and np.all(np.isfinite(matrix.imag))):
-        raise ValueError("custom gate matrix contains a non-finite entry")
-    deviation = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix)))
-    worst = np.unravel_index(np.argmax(deviation), deviation.shape)
-    if deviation[worst] > UNITARY_TOLERANCE:
-        raise ValueError(
-            "custom gate matrix is not unitary: max deviation "
-            f"{deviation[worst]:.3e} at entry {tuple(int(i) for i in worst)}"
-        )
-    return gate
+    """A user-supplied unitary on ``arity`` qubits, checked like every Gate."""
+    return Gate("custom", arity, entries)
 
 
 def matrix_of(gate: Gate) -> np.ndarray:
@@ -326,14 +323,13 @@ def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
 
 
 def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
-    """Run ``steps`` on ``amplitudes`` in place and validate the result once.
+    """Run ``steps`` on unit-norm ``amplitudes`` in place; wrap the result unchecked.
 
     A writable ``amplitudes`` is a buffer the caller hands over.  A
     read-only one, such as a state's amplitudes, is copied once, before the
     first step that changes it, so the caller's array is never written.
-    Every step then updates that one buffer.  A non-unitary raw ``Gate``
-    therefore fails here, at the end of the sequence, and only if it leaves
-    the final state unnormalized.
+    Every step then updates that one buffer.  Every gate is a checked
+    unitary, so the result is unit-norm to rounding and is not validated.
     """
     owned = amplitudes.flags.writeable
     for step in steps:
@@ -343,7 +339,7 @@ def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
         if not owned:
             amplitudes, owned = amplitudes.copy(), True
         _update(plan, step.targets, amplitudes)
-    return QuantumState(num_qubits, amplitudes, copy=False)
+    return _owned(num_qubits, amplitudes)
 
 
 def apply(state: QuantumState, application: GateApplication) -> QuantumState:
@@ -352,8 +348,8 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
     Equivalent to multiplying by the gate embedded on its targets with
     identity elsewhere, at 2**(n-k) work per nonzero matrix entry: unit
     entries are slice copies, so permutation and diagonal gates only move or
-    scale slices.  Returns a new, validated state, or the input itself for
-    the identity.
+    scale slices.  Returns a new state, not validated again since the gate
+    is a checked unitary, or the input itself for the identity.
     """
     _check_qubits(application.targets, state.num_qubits)
     if application.gate._plan is None:

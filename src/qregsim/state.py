@@ -10,8 +10,8 @@ anything is allocated. ``QuantumState(...)`` checks width, shape and norm.
 Every module's integer arguments pass ``_is_int`` (an ``int`` or numpy
 integer, never a ``bool``, float or string) and become ``int``; its qubit
 lists pass ``_check_qubits``.  States the library builds from unit-norm
-pieces are wrapped by ``_owned`` unchecked; a gate sequence checks its
-result once, at the end.
+pieces are wrapped by ``_owned`` unchecked, gate sequences' output included:
+every ``Gate`` is checked unitary where it is made.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -149,6 +150,43 @@ class TestCustomGate:
             custom_gate(2, np.eye(2))
 
 
+class TestRawGate:
+    """The Gate constructor checks every gate: shape, finiteness and unitarity."""
+
+    @pytest.mark.parametrize(
+        "name,matrix",
+        [("double", np.diag([2.0, 2.0])), ("p0", np.diag([1.0, 0.0])),
+         ("inf", [[np.inf, 0], [0, 1]])],
+        ids=["non-unitary", "projector", "non-finite"],
+    )
+    def test_non_unitary_or_non_finite_rejected_at_construction(self, name, matrix):
+        with pytest.raises(ValueError, match=f"gate '{name}' matrix is not a finite unitary"):
+            Gate(name, 1, matrix)
+
+    def test_callers_array_stays_writable_and_unshared(self):
+        entries = np.eye(2, dtype=np.complex128)
+        gate = Gate("g", 1, entries)
+        assert entries.flags.writeable
+        entries[0, 0] = 5.0
+        np.testing.assert_array_equal(gate.matrix, np.eye(2))
+
+    @pytest.mark.parametrize("make", [lambda a, m: Gate("g", a, m), custom_gate],
+                             ids=["Gate", "custom_gate"])
+    def test_huge_arity_fails_with_the_shape_message(self, make):
+        with pytest.raises(ValueError, match=r"needs a 2\*\*20000-square matrix, got shape \(1, 1\)"):
+            make(20000, [[1]])
+
+    def test_billion_qubit_arity_builds_no_power_of_two(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs a"):
+                Gate("g", 10**9, [[1]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # 2**(10**9) alone would take 125 MB
+
+
 class TestApplyValidation:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -208,15 +246,6 @@ class TestKernelAgainstEmbedding:
             amps = kron_embed(matrix_of(gate), targets, n) @ amps
             state = apply(state, GateApplication(gate, targets))
         np.testing.assert_allclose(state.amplitudes, amps, atol=1e-12)
-
-    def test_zero_matrix_row_clears_its_slice(self):
-        """A non-unitary Gate with an all-zero row (a projector) zeroes that slice."""
-        projector = Gate("p0", 1, np.diag([1.0, 0.0]))
-        amps = np.zeros(8)
-        amps[[0b000, 0b100]] = 1 / math.sqrt(2)
-        for targets in [(0,), (1,)]:
-            got = apply(from_amplitudes(3, amps), GateApplication(projector, targets))
-            np.testing.assert_array_equal(got.amplitudes, kron_embed(projector.matrix, targets, 3) @ amps)
 
     def test_custom_two_qubit_random_unitary(self):
         rng = np.random.default_rng(42)
@@ -467,15 +496,6 @@ class TestSequenceKernel:
         for amps in (state.amplitudes, copied.amplitudes):
             assert amps.flags.owndata and not amps.flags.writeable
         assert all(ref() is None for ref in buffers)
-
-    def test_non_unitary_gate_fails_at_the_end_of_the_sequence(self):
-        doubling = Gate("double", 1, np.diag([2.0, 2.0]))
-        steps = (GateApplication(HADAMARD, (0,)), GateApplication(doubling, (1,)),
-                 GateApplication(CNOT, (0, 1)))
-        with pytest.raises(ValueError, match="not normalized"):
-            Circuit(2, steps).final_state()
-        with pytest.raises(ValueError, match="not normalized"):
-            apply(basis_state(2, 0), steps[1])
 
 
 class TestKernelAgainstReference:

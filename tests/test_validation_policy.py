@@ -1,19 +1,24 @@
 """Where states are checked: once at the trust boundary, never on library-built states.
 
-The checking constructor ``QuantumState(...)`` runs for input from outside
-(``from_amplitudes``) and once at the end of every gate sequence.  States
-the library builds from unit-norm pieces skip it, so these tests pin both
-halves: the call counts, and that every such state is in fact unit-norm.
+The checking constructor ``QuantumState(...)`` runs only on input from
+outside (``from_amplitudes`` or a direct call).  States the library builds
+from unit-norm pieces skip it, gate sequences included, since every ``Gate``
+is checked unitary where it is made.  These tests pin both halves: the call
+counts, and that every such state is in fact unit-norm.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_gates import _random_monomial, _random_unitary, all_gate_kinds
+
 from qregsim import (
+    CNOT,
     HADAMARD,
     NORM_TOLERANCE,
     NOT,
@@ -107,14 +112,20 @@ LIBRARY_BUILT = {
     "grover_search": lambda: grover_search(Oracle(5, lambda i: i == 3), 1, RandomSource(2)),
     "qam_store": lambda: qam_store(TRIPLE_PATTERNS),
     "qam_query": lambda: qam_query(_MEMORY, "11110", 1, RandomSource(5)),
-}
-
-CHECKED_ONCE = {
     "apply": lambda: apply(_STATE, GateApplication(HADAMARD, (1,))),
     "run_circuit": lambda: run_circuit(
         parse_circuit("qubits 2\nh 1\ncnot 1 0\nmeasure all\n"), 100, 7
     ),
+    "Circuit.final_state": lambda: Circuit(
+        3, (GateApplication(HADAMARD, (0,)), GateApplication(CNOT, (0, 2)))
+    ).final_state(),
+    "qft": lambda: qft(_STATE, [2, 0]),
+    "inverse_qft": lambda: inverse_qft(_STATE),
+}
+
+CHECKED_ONCE = {
     "from_amplitudes": lambda: from_amplitudes(1, [0.6, 0.8]),
+    "QuantumState": lambda: QuantumState(1, [0.6, 0.8]),
 }
 
 
@@ -137,7 +148,7 @@ class TestValidationCounts:
 
         inverse_qft = shor.inverse_qft
         monkeypatch.setattr(shor, "inverse_qft", counting)
-        assert validations(lambda: shor_period(a, mod_n, RandomSource(seed))) == len(transforms)
+        assert validations(lambda: shor_period(a, mod_n, RandomSource(seed))) == 0
         assert transforms
 
 
@@ -169,6 +180,29 @@ class TestLibraryBuiltStatesAreUnitNorm:
         a = from_amplitudes(n_a, _random_amplitudes(n_a, seed))
         b = from_amplitudes(n_b, _random_amplitudes(n_b, seed + 1))
         assert _norm_error(tensor(a, b).amplitudes) <= NORM_TOLERANCE
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    def test_gate_sequences(self, n, seed, data):
+        """Steps of every kind and random custom gates, through every gate
+        sequence: a circuit, folded apply calls and a sub-register transform."""
+        rng = np.random.default_rng(seed)
+        kinds = [g for g in all_gate_kinds(phi=rng.uniform(-math.pi, math.pi)) if g.arity <= n]
+        for arity in range(1, min(n, 3) + 1):
+            kinds.append(custom_gate(arity, _random_unitary(arity, rng)))
+            kinds.append(custom_gate(arity, _random_monomial(arity, rng)))
+        steps = tuple(
+            GateApplication(gate, data.draw(st.permutations(range(n)))[: gate.arity])
+            for gate in data.draw(st.lists(st.sampled_from(kinds), max_size=24), label="gates")
+        )
+        start = from_amplitudes(n, _random_amplitudes(n, seed))
+        folded = start
+        for step in steps:
+            folded = apply(folded, step)
+        qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        outputs = (Circuit(n, steps).final_state(), folded,
+                   qft(start, qubits), inverse_qft(folded, qubits))
+        assert max(_norm_error(state.amplitudes) for state in outputs) <= NORM_TOLERANCE
 
     @settings(max_examples=30, deadline=None)
     @given(
