@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from ..measurement import _SHOT_BATCH, RandomSource, _inverse_cdf
 from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import _is_int, get_max_qubits
@@ -46,9 +48,9 @@ def qrng(num_bits: int, chunk: int, rng: RandomSource) -> int:
         lookup = _round_lookup_cached(chunk)
     else:
         lookup = _build_round_lookup(chunk)
-    value = 0
+    bits = np.empty((rounds, chunk), dtype=np.uint8)
     for start in range(0, rounds, _SHOT_BATCH):
         outcomes = lookup(rng.uniforms(min(_SHOT_BATCH, rounds - start)))
-        for r, outcome in enumerate(outcomes.tolist(), start):
-            value |= outcome << (r * chunk)
-    return value & ((1 << num_bits) - 1)
+        octets = outcomes.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        bits[start:start + len(octets)] = np.unpackbits(octets, 1, count=chunk, bitorder="little")
+    return int.from_bytes(np.packbits(bits.reshape(-1)[:num_bits], bitorder="little"), "little")

@@ -9,11 +9,11 @@ separators such as form feed count as whitespace)::
     cnot 1 0
     measure all
 
-Mnemonics are ``id``, ``x``, ``h``, ``phase``, ``cnot``, ``cphase``,
-``swap``, ``toffoli``, ``fredkin``; operands are qubit indices with control
-qubits first, and ``phase``/``cphase`` take a trailing finite angle in radians
-(decimal literal).  ``measure`` names the terminally measured qubits (or
-``all``) and, when present, must be the last instruction.
+Mnemonics are the keys of ``_GATES``, the one table ``parse`` and
+``serialize`` read; operands are qubit indices with control qubits first,
+and ``phase``/``cphase`` take a trailing finite angle in radians (decimal
+literal).  ``measure`` names the terminally measured qubits (or ``all``)
+and, when present, must be the last instruction.
 
 ``run`` evolves and samples only the qubits some step targets, since an
 idle qubit stays |0> and reads 0; ``Circuit.final_state`` returns the whole
@@ -23,6 +23,7 @@ register.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,19 +43,19 @@ class CircuitParseError(ValueError):
         self.line_number = line_number
 
 
-_FIXED_GATES = {
-    "id": gates.IDENTITY,
-    "x": gates.NOT,
-    "h": gates.HADAMARD,
-    "cnot": gates.CNOT,
-    "swap": gates.EXCHANGE,
-    "toffoli": gates.TOFFOLI,
-    "fredkin": gates.FREDKIN,
+#: The file format's gates by mnemonic, each with its factory if it takes an angle.
+_GATES = {
+    "id": (gates.IDENTITY, None),
+    "x": (gates.NOT, None),
+    "h": (gates.HADAMARD, None),
+    "phase": (gates.phase_shift(0.0), gates.phase_shift),
+    "cnot": (gates.CNOT, None),
+    "cphase": (gates.controlled_phase(0.0), gates.controlled_phase),
+    "swap": (gates.EXCHANGE, None),
+    "toffoli": (gates.TOFFOLI, None),
+    "fredkin": (gates.FREDKIN, None),
 }
-_PHASE_GATES = {"phase": gates.phase_shift, "cphase": gates.controlled_phase}
 _LINE_BREAK = re.compile(r"\r\n?|\n")
-_ARITY = {"id": 1, "x": 1, "h": 1, "phase": 1, "cnot": 2, "cphase": 2,
-          "swap": 2, "toffoli": 3, "fredkin": 3}
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,14 @@ def _parse_int(token: str, line_number: int, what: str) -> int:
         raise CircuitParseError(line_number, f"expected {what}, got {token!r}") from None
 
 
+def _stripped_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line not blank once its ``#`` comment is cut."""
+    for line_number, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_number, line
+
+
 def parse(text: str) -> Circuit:
     """Parse the circuit grammar; raises CircuitParseError with line numbers."""
     num_qubits: int | None = None
@@ -127,10 +136,7 @@ def parse(text: str) -> Circuit:
     terminal: tuple[int, ...] | None = None
     saw_measure = False
 
-    for line_number, raw in enumerate(_LINE_BREAK.split(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_number, line in _stripped_lines(text):
         tokens = line.split()
         word, operands = tokens[0], tokens[1:]
 
@@ -167,23 +173,22 @@ def parse(text: str) -> Circuit:
             saw_measure = True
             continue
 
-        if word not in _ARITY:
+        if word not in _GATES:
             raise CircuitParseError(line_number, f"unknown mnemonic {word!r}")
-        arity = _ARITY[word]
-        takes_phase = word in _PHASE_GATES
-        expected = arity + (1 if takes_phase else 0)
-        if len(operands) != expected:
+        gate, make = _GATES[word]
+        arity = gate.arity
+        if len(operands) != arity + (make is not None):
             raise CircuitParseError(
                 line_number,
                 f"{word!r} takes {arity} qubit index(es)"
-                + (" and an angle" if takes_phase else "")
+                + (" and an angle" if make else "")
                 + f", got {len(operands)} operand(s)",
             )
         qubit_ops = [_parse_int(tok, line_number, "a qubit index") for tok in operands[:arity]]
         # GateApplication checks the operands but for the register width.
         if max(qubit_ops) >= num_qubits:
             raise CircuitParseError(line_number, f"qubit {max(qubit_ops)} out of range")
-        if takes_phase:
+        if make:
             try:
                 phi = float(operands[arity])
             except ValueError:
@@ -191,8 +196,7 @@ def parse(text: str) -> Circuit:
                     line_number, f"expected an angle in radians, got {operands[arity]!r}"
                 ) from None
         try:
-            gate = _PHASE_GATES[word](phi) if takes_phase else _FIXED_GATES[word]
-            steps.append(GateApplication(gate, qubit_ops))
+            steps.append(GateApplication(make(phi) if make else gate, qubit_ops))
         except ValueError as exc:
             raise CircuitParseError(line_number, str(exc)) from None
 
@@ -201,29 +205,25 @@ def parse(text: str) -> Circuit:
     return Circuit(num_qubits, tuple(steps), terminal)
 
 
-def _format_step(step: GateApplication) -> str:
-    tokens = [step.gate.name]
-    tokens += [str(q) for q in step.targets]
-    if step.gate.phi is not None:
-        tokens.append(repr(step.gate.phi))
-    return " ".join(tokens)
-
-
 def serialize(circuit: Circuit) -> str:
     """Render a circuit in the file grammar; parse(serialize(c)) == c.
 
-    Phases are printed with full round-trip precision.  Custom gates have no
-    mnemonic and cannot be serialized.
+    Phases are printed with full round-trip precision.  A circuit with no
+    such text, as one with a custom gate or measuring no qubit, raises ValueError.
     """
     lines = [f"qubits {circuit.num_qubits}"]
-    for step in circuit.steps:
-        if step.gate.name == "custom":
-            raise ValueError("custom gates have no text-format mnemonic")
-        lines.append(_format_step(step))
-    if circuit.terminal_measure is None:
-        lines.append("measure all")
-    else:
-        lines.append("measure " + " ".join(str(q) for q in circuit.terminal_measure))
+    for i, step in enumerate(circuit.steps):
+        gate, make = _GATES.get(step.gate.name, (None, None))
+        if make and isinstance(step.gate.phi, float):
+            gate = make(step.gate.phi)
+        if gate != step.gate:
+            raise ValueError(f"step {i}: {step.gate!r} is not a gate of the text format")
+        angle = [repr(gate.phi)] if make else []
+        lines.append(" ".join([gate.name, *map(str, step.targets), *angle]))
+    measured = circuit.terminal_measure
+    if measured == ():
+        raise ValueError("a terminal_measure of no qubits has no text form")
+    lines.append("measure " + ("all" if measured is None else " ".join(map(str, measured))))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,8 @@ then the result lines: ``BITSTRING COUNT PROB`` by descending count for
 ``run``, ``BITSTRING PROB`` for ``qft-demo``, ``POSITION PROB`` and a
 ``# sigma_quantum``/``# sigma_classical`` footer for ``walk``, and one
 line otherwise: the value, bit string or pattern found, or ``N = p × q``.
-JSON is one document per run, readable by any generic parser.
+JSON is one document per run, readable by any generic parser.  A ``qam``
+patterns file is read by the circuit file's line and ``#`` comment rules.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ def _histogram(doc: dict) -> Iterator[str]:
 
 def _cmd_run(args) -> tuple[dict, Iterable[str]]:
     result = circuit_mod.run(circuit_mod.parse(_read(args.circuit)), args.shots, args.seed)
-    spec = f"0{result.num_bits}b"  # as RunResult.bitstring; counts come in ascending order
-    counts = {format(o, spec): c for o, c in result.counts.items()}
+    counts = {result.bitstring(o): c for o, c in result.counts.items()}  # in ascending order
     doc = {"shots": result.shots, "seed": result.seed, "counts": counts}
     return doc, _histogram(doc)
 
@@ -171,10 +171,7 @@ def _cmd_walk(args) -> tuple[dict, Iterable[str]]:
 
 
 def _cmd_qam(args) -> tuple[dict, Iterable[str]]:
-    # Text-mode read() turns CRLF and CR into LF, so this splits where
-    # readlines() would; str.splitlines() would also split at \x0c, \x85, ...
-    lines = (line.split("#", 1)[0].strip() for line in _read(args.patterns_file).split("\n"))
-    memory = qam_store(line for line in lines if line)
+    memory = qam_store(line for _, line in circuit_mod._stripped_lines(_read(args.patterns_file)))
     result = qam_query(memory, args.query, args.radius, RandomSource(args.seed))
     doc = {
         "query": args.query,

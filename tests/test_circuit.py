@@ -18,6 +18,7 @@ from qregsim import (
     IDENTITY,
     Circuit,
     CircuitParseError,
+    Gate,
     GateApplication,
     RandomSource,
     apply,
@@ -133,6 +134,40 @@ class TestParse:
             parse_circuit(f"qubits 2\nh 0\n{instruction} {angle}\nmeasure all\n")
 
 
+@st.composite
+def _any_circuit(draw):
+    """(circuit, whether it surely has a text form), built from table gates,
+    raw gates under a table name with the table's or another unitary, angle
+    gates without ``phi``, custom gates and any ``terminal_measure``."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps, has_text = [], True
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(list(circuit_mod._GATES)))
+        gate, make = circuit_mod._GATES[name]
+        angle = draw(st.floats(-10, 10))
+        kind = draw(st.sampled_from(["table", "raw", "no-phi", "custom"]))
+        if kind == "table":
+            gate = make(angle) if make else gate
+        elif kind == "raw":
+            arity = draw(st.integers(1, 3))
+            same = arity == gate.arity and draw(st.booleans())
+            gate = Gate(name, arity, gate.matrix if same else _random_unitary(arity, rng),
+                        phi=gate.phi)
+        elif kind == "no-phi":
+            gate = Gate(name, gate.arity, (make(angle) if make else gate).matrix)
+        else:
+            gate = custom_gate(gate.arity, _random_unitary(gate.arity, rng))
+        if gate.arity <= n:
+            steps.append(GateApplication(gate, draw(st.permutations(range(n)))[:gate.arity]))
+            has_text &= kind == "table"
+    terminal = draw(st.one_of(
+        st.none(), st.just(()),
+        st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple),
+    ))
+    return Circuit(n, tuple(steps), terminal), has_text and terminal != ()
+
+
 class TestSerialize:
     def test_bell_round_trip(self):
         circuit = parse_circuit(BELL_TEXT)
@@ -167,9 +202,50 @@ class TestSerialize:
         with pytest.raises(ValueError, match="custom"):
             serialize_circuit(circuit)
 
+    @pytest.mark.parametrize("circuit", [
+        pytest.param(Circuit(1, (GateApplication(Gate("x", 1, HADAMARD.matrix), (0,)),)),
+                     id="x-named-hadamard"),
+        pytest.param(Circuit(1, (GateApplication(Gate("phase", 1, phase_shift(0.5).matrix), (0,)),)),
+                     id="phase-without-phi"),
+        pytest.param(Circuit(2, (GateApplication(HADAMARD, (1,)),), ()), id="measure-nothing"),
+    ])
+    def test_circuit_with_no_text_form_raises(self, circuit):
+        with pytest.raises(ValueError):
+            serialize_circuit(circuit)
+
+    def test_numpy_float_angle_round_trips(self):
+        gate = Gate("phase", 1, phase_shift(0.5).matrix, phi=np.float64(0.5))
+        circuit = Circuit(1, (GateApplication(gate, (0,)),))
+        assert serialize_circuit(circuit) == "qubits 1\nphase 0 0.5\nmeasure all\n"
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+
+    def test_circuit_wider_than_the_cap_serializes(self):
+        cap = get_max_qubits()
+        circuit = Circuit(cap + 1, (GateApplication(CNOT, (cap, 0)),), (cap,))
+        text = serialize_circuit(circuit)
+        assert text == f"qubits {cap + 1}\ncnot {cap} 0\nmeasure {cap}\n"
+        set_max_qubits(cap + 1)
+        try:
+            assert parse_circuit(text) == circuit
+        finally:
+            set_max_qubits(cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_circuit())
+    def test_serialize_refuses_or_round_trips(self, drawn):
+        """Every circuit either has no text form or round-trips, and one of
+        table gates and a nonempty measurement always has one."""
+        circuit, has_text = drawn
+        try:
+            text = serialize_circuit(circuit)
+        except ValueError:
+            assert not has_text
+            return
+        assert parse_circuit(text) == circuit
+
 
 _FUZZ_TOKENS = st.sampled_from(
-    sorted(circuit_mod._ARITY)
+    sorted(circuit_mod._GATES)
     + ["qubits", "measure", "all", "#", "0", "1", "2", "3", "-1", "40", "1e400",
        "nan", "-inf", "0.5", "x1", "٣", "1_0", "\x0c", "\u2028", "\r", "\n", "\r\n"]
 )
@@ -284,21 +360,12 @@ def _random_circuit(rng):
     n = int(rng.integers(1, 6))
     steps = []
     for _ in range(int(rng.integers(0, 12))):
-        kind = rng.choice(["id", "x", "h", "phase", "cnot", "cphase", "swap",
-                           "toffoli", "fredkin"])
-        arity = {"id": 1, "x": 1, "h": 1, "phase": 1, "cnot": 2, "cphase": 2,
-                 "swap": 2, "toffoli": 3, "fredkin": 3}[kind]
-        if arity > n:
+        gate, make = circuit_mod._GATES[rng.choice(list(circuit_mod._GATES))]
+        if gate.arity > n:
             continue
-        targets = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
-        if kind == "phase":
-            gate = phase_shift(float(rng.uniform(-math.pi, math.pi)))
-        elif kind == "cphase":
-            gate = controlled_phase(float(rng.uniform(-math.pi, math.pi)))
-        else:
-            from qregsim import circuit as circuit_mod
-
-            gate = circuit_mod._FIXED_GATES[kind]
+        targets = tuple(int(q) for q in rng.choice(n, size=gate.arity, replace=False))
+        if make:
+            gate = make(float(rng.uniform(-math.pi, math.pi)))
         steps.append(GateApplication(gate, targets))
     if rng.random() < 0.5:
         terminal = None
@@ -327,7 +394,8 @@ def _sparse_circuit(rng, shape):
         angles = rng.uniform(-math.pi, math.pi, 2)
         kinds = [custom_gate(arity, _random_unitary(arity, rng)),
                  custom_gate(arity, _random_monomial(arity, rng)),
-                 phase_shift(angles[0]), *circuit_mod._FIXED_GATES.values()]
+                 phase_shift(angles[0]),
+                 *(gate for gate, make in circuit_mod._GATES.values() if make is None)]
         if live_count > 1:
             kinds.append(controlled_phase(angles[1]))
         kinds = [gate for gate in kinds if gate.arity <= live_count]
@@ -347,11 +415,12 @@ def _sparse_circuit(rng, shape):
 
 def _every_mnemonic_text(rnd, n, h_layer):
     """An H layer on ``h_layer`` qubits, then each mnemonic once in random order."""
-    arity = circuit_mod._ARITY
+    table = circuit_mod._GATES
     lines = [f"qubits {n}"] + [f"h {q}" for q in sorted(rnd.sample(range(n), h_layer))]
-    for word in rnd.sample(sorted(arity), len(arity)):
-        tokens = [word] + [str(q) for q in rnd.sample(range(n), arity[word])]
-        if word in ("phase", "cphase"):
+    for word in rnd.sample(sorted(table), len(table)):
+        gate, make = table[word]
+        tokens = [word] + [str(q) for q in rnd.sample(range(n), gate.arity)]
+        if make:
             tokens.append(repr(rnd.uniform(-math.pi, math.pi)))
         lines.append(" ".join(tokens))
     return "\n".join(lines) + "\nmeasure all\n"

@@ -70,6 +70,15 @@ class TestAgainstReference:
             assert qrng(bits, chunk, fast) == qrng_reference(bits, chunk, slow)
             assert fast.draw_count == slow.draw_count
 
+    def test_bits_across_whole_batches(self):
+        """Past a full batch of rounds, bit r of a one-qubit qrng is draw r >= 0.5."""
+        bits = qrng_module._SHOT_BATCH + 13
+        fast = RandomSource(5)
+        value = qrng(bits, 1, fast)
+        draws = RandomSource(5).uniforms(bits)
+        assert value == int("".join("1" if u >= 0.5 else "0" for u in draws[::-1].tolist()), 2)
+        assert fast.draw_count == bits
+
 
 class TestUniformity:
     def test_chi_square_sixteen_bins(self):

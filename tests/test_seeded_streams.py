@@ -30,7 +30,7 @@ from qregsim.algorithms.grover import Oracle, count_marked, grover_search
 from qregsim.algorithms.qam import qam_query, qam_store
 from qregsim.algorithms.qrng import qrng
 from qregsim.algorithms.shor import shor_factor, shor_period
-from qregsim.circuit import _ARITY
+from qregsim.circuit import _GATES
 
 CORPUS = pathlib.Path(__file__).with_name("seeded_streams.json")
 
@@ -95,9 +95,10 @@ def _random_circuit(rnd, n):
     """An H layer, then every mnemonic twice in random order; some circuits
     measure a random subset instead of every qubit."""
     lines = [f"qubits {n}"] + [f"h {q}" for q in sorted(rnd.sample(range(n), n // 2))]
-    for word in rnd.sample(sorted(_ARITY) * 2, 2 * len(_ARITY)):
-        tokens = [word] + [str(q) for q in rnd.sample(range(n), _ARITY[word])]
-        if word in ("phase", "cphase"):
+    for word in rnd.sample(sorted(_GATES) * 2, 2 * len(_GATES)):
+        gate, make = _GATES[word]
+        tokens = [word] + [str(q) for q in rnd.sample(range(n), gate.arity)]
+        if make:
             tokens.append(repr(rnd.uniform(-math.pi, math.pi)))
         lines.append(" ".join(tokens))
     if rnd.random() < 0.5:
