@@ -5,7 +5,9 @@ uniform superposition with amplitude 1/sqrt(p) on each - exponentially
 more patterns than a comparable classical associative network holds.
 Retrieval amplifies the stored patterns within a Hamming ball around the
 query, reflecting about the memory state so support never leaves the
-stored set.
+stored set.  The memory state is uniform over the p stored codes, so a
+query measures as Grover search over those p codes in ascending order
+(``grover._plane_draw``): one uniform, and no 2**n vector per query.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..measurement import RandomSource, measure_all
+from ..measurement import RandomSource
+from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import QuantumState, _check_num_qubits, _is_int, _owned
-from .grover import amplify, iteration_count
+from .grover import _plane_draw, iteration_count
+from .grover import amplify  # noqa: F401  (bound by perfbench/tracing.py)
 
 
 @dataclass(frozen=True)
@@ -81,23 +85,23 @@ def qam_query(
 
     Amplifies the matching patterns inside the memory superposition (the
     reflection is about the memory state, not the uniform state) and
-    measures.  Raises ValueError when no stored pattern is close enough,
-    reporting the minimum achievable distance.
+    measures, drawing over the stored codes in ascending order.  Raises
+    ValueError when no stored pattern is close enough, reporting the
+    minimum achievable distance.
     """
     _validate_pattern(query, memory.pattern_length)
     if not _is_int(radius) or radius < 0:
         raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
     radius = int(radius)
-    codes = memory._codes
+    codes = np.sort(memory._codes)
     distances = np.bitwise_count(codes ^ int(query, 2))
-    marked = codes[distances <= radius]
+    marked = np.flatnonzero(distances <= radius)  # positions in ``codes``
     if not marked.size:
         raise ValueError(
             f"no stored pattern within distance {radius} of {query!r}; "
             f"closest is at distance {distances.min()}"
         )
-    k, theta = iteration_count(marked.size, len(memory.patterns))
-    amps = amplify(memory.state.amplitudes, marked, k)
-    outcome, _ = measure_all(_owned(memory.pattern_length, amps), rng)
+    k, theta = iteration_count(marked.size, codes.size)
+    outcome = codes[_plane_draw(codes.size, marked, k, theta, rng.uniform())]
     pattern = format(outcome, f"0{memory.pattern_length}b")
     return QamResult(pattern, math.sin((2 * k + 1) * theta) ** 2)

@@ -15,6 +15,9 @@ then the result lines: ``BITSTRING COUNT PROB`` by descending count for
 line otherwise: the value, bit string or pattern found, or ``N = p × q``.
 JSON is one document per run, readable by any generic parser.  A ``qam``
 patterns file is read by the circuit file's line and ``#`` comment rules.
+An input file that is not UTF-8, and a ``qrng --bits`` wider than Python's
+integer string limit lets it print, are runtime errors, raised before any
+draw.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"cannot read {path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} "
+            "is not UTF-8"
+        ) from None
 
 
 def _histogram(doc: dict) -> Iterator[str]:
@@ -104,7 +112,19 @@ def _cmd_run(args) -> tuple[dict, Iterable[str]]:
     return doc, _histogram(doc)
 
 
+@functools.cache
+def _printable_bits(digits: int) -> int:
+    """The most bits whose every value ``str`` prints in ``digits`` digits."""
+    return (10**digits).bit_length() - 1
+
+
 def _cmd_qrng(args) -> tuple[dict, Iterable[str]]:
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    if digits and args.bits > (widest := _printable_bits(digits)):
+        raise ValueError(
+            f"--bits {args.bits} exceeds {widest}, the widest value this Python prints "
+            f"under its {digits}-digit limit on integer strings"
+        )
     value = qrng(args.bits, args.chunk, RandomSource(args.seed))
     doc = {"bits": args.bits, "chunk": args.chunk, "value": value, "seed": args.seed}
     return doc, _header(doc, "bits", "chunk", "seed") + [str(value)]
@@ -116,7 +136,7 @@ def _cmd_grover(args) -> tuple[dict, Iterable[str]]:
     for t in targets:
         if not 0 <= t < (1 << args.qubits):
             raise ValueError(f"target index {t} out of range for {args.qubits} qubits")
-    oracle = Oracle(args.qubits, lambda i: i in targets)
+    oracle = Oracle._from_marked(args.qubits, targets)
     result = grover_search(oracle, count_marked(oracle), RandomSource(args.seed))
     doc = {
         "qubits": args.qubits,

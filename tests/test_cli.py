@@ -149,6 +149,37 @@ class TestAlgorithms:
         assert payload["iterations"] == 2
         assert payload["bitstring"] == format(payload["outcome"], "03b")
 
+    def test_qrng_bits_beyond_printable_width_fail_before_any_draw(self, capsys, monkeypatch):
+        """14,284 bits is the widest value printable under the 4300-digit limit."""
+        assert sys.get_int_max_str_digits() == 4300
+        sources = []
+
+        class CountingSource(qregsim.RandomSource):
+            def __init__(self, seed):
+                super().__init__(seed)
+                sources.append(self)
+
+        monkeypatch.setattr(cli, "RandomSource", CountingSource)
+        code, out, err = run_cli(capsys, "qrng", "--bits", "14285", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "14284" in err and "4300-digit" in err
+        assert sum(source.draw_count for source in sources) == 0
+        code, out, _ = run_cli(capsys, "qrng", "--bits", "14284", "--seed", "1",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] < 1 << 14284
+        assert sources[-1].draw_count == 14284
+
+    def test_grover_never_enumerates_the_targets(self, capsys):
+        """The oracle is built from the target set, so 26 qubits holds no 2**26 array."""
+        with PeakMemory() as traced:
+            code, out, _ = run_cli(capsys, "grover", "--qubits", "26", "--target", "5",
+                                   "--seed", "1")
+        assert code == 0
+        assert "# targets 5" in out
+        assert traced.peak < 1 << 20
+
     @pytest.mark.parametrize("qubits,message", [("40", "exceeds the configured cap"),
                                                 ("-1", "positive integer")])
     def test_grover_register_width_is_runtime_error(self, capsys, qubits, message):
@@ -285,6 +316,16 @@ class TestInputFiles:
         assert code == 2
         assert out == ""
         assert err.startswith("error: pattern must be")
+
+    @pytest.mark.parametrize("command", ["run", "qam"])
+    def test_non_utf8_file_names_its_path_and_offset(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xe9\n")
+        argv = [str(path)] if command == "run" else ["--patterns-file", str(path), "--query", "1"]
+        code, out, err = run_cli(capsys, command, *argv, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}: byte 0xe9 at offset 5 is not UTF-8\n"
 
     def test_unreadable_path_reported_alike_by_run_and_qam(self, capsys, tmp_path):
         run = run_cli(capsys, "run", str(tmp_path), "--seed", "1")

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import amplify_reference
+from peak_memory import PeakMemory
 
 from qregsim import RandomSource
 from qregsim.algorithms import (
@@ -16,7 +19,8 @@ from qregsim.algorithms import (
     qam_store,
     uniform_superposition,
 )
-from qregsim.algorithms.grover import amplify, iteration_count
+from qregsim.algorithms.grover import _plane_draw, amplify, iteration_count
+from qregsim.measurement import _draw_index
 
 
 class TestCountMarked:
@@ -62,6 +66,21 @@ class TestOracleEnumeration:
         assert not marked.flags.writeable
         with pytest.raises(ValueError):
             marked[0] = 1
+
+    def test_oracle_from_marked_set_never_calls_its_predicate(self, monkeypatch):
+        enumerate_marked = Oracle.__dict__["_marked"]  # a functools.cached_property
+        monkeypatch.setattr(enumerate_marked, "func", None)
+        oracle = Oracle._from_marked(26, {9, 5, 1 << 25})
+        assert oracle.num_qubits == 26
+        assert oracle.marked_indices().tolist() == [5, 9, 1 << 25]
+        assert not oracle.marked_indices().flags.writeable
+        assert oracle.predicate(9) and not oracle.predicate(6)
+        result = grover_search(oracle, count_marked(oracle), RandomSource(3))
+        assert result.iterations == iteration_count(3, 1 << 26)[0]
+
+    def test_oracle_from_marked_set_checks_the_width(self):
+        with pytest.raises(ValueError, match="exceeds the configured cap"):
+            Oracle._from_marked(40, {1})
 
     def test_equality_and_hash_ignore_enumeration(self):
         def predicate(i):
@@ -187,3 +206,75 @@ class TestAmplitudeSchedule:
             )
             assert abs(amp - abs(math.sin((2 * k + 1) * theta))) < 1e-9
             assert k <= math.ceil(math.pi / 4 * math.sqrt(total / marked_count))
+
+
+def _grover_reference(n, marked, u):
+    """``amplified_state`` + ``_draw_index``, and the distance of ``u`` from
+    the nearest edge of the reference CDF."""
+    oracle = Oracle(n, set(marked).__contains__)
+    state, _, _ = amplified_state(oracle, len(marked))
+    cum = np.cumsum(state.probabilities())
+    return _draw_index(state.probabilities(), u), float(np.abs(cum / cum[-1] - u).min())
+
+
+@st.composite
+def _searches(draw):
+    n = draw(st.integers(1, 10))
+    marked = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n))
+    return n, sorted(marked), draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestPlaneDraw:
+    """``grover_search`` draws in the (ref, P ref) plane, as the vector would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_searches())
+    def test_matches_the_amplified_vector(self, search):
+        n, marked, u = search
+        expected, gap = _grover_reference(n, marked, u)
+        assume(gap > 1e-9)  # away from a bin edge, where rounding may differ
+        k, theta = iteration_count(len(marked), 1 << n)
+        assert _plane_draw(1 << n, np.array(marked), k, theta, u) == expected
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_quarter_marked_reaches_only_marked_indices(self, n):
+        """M = N/4 leaves exactly 0.0 on every unmarked index after one round."""
+        total = 1 << n
+        rng = np.random.default_rng(n)
+        marked = np.sort(rng.choice(total, size=total // 4, replace=False))
+        k, theta = iteration_count(marked.size, total)
+        assert k == 1
+        uniforms = [0.0, 1.0 - 2.0**-53, *rng.random(300)]
+        drawn = {_plane_draw(total, marked, k, theta, u) for u in uniforms}
+        assert drawn <= set(marked.tolist())
+        assert {int(marked[0]), int(marked[-1])} <= drawn
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_every_index_marked(self, n):
+        total = 1 << n
+        marked = np.arange(total)
+        k, theta = iteration_count(total, total)
+        assert k == 0
+        for i in range(total):
+            assert _plane_draw(total, marked, k, theta, (i + 0.5) / total) == i
+        assert _plane_draw(total, marked, k, theta, 0.0) == 0
+        assert _plane_draw(total, marked, k, theta, 1.0 - 2.0**-53) == total - 1
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_one_of_two_marked(self, target):
+        """M = 1 at n = 1: no round, so both indices weigh 1/2."""
+        k, theta = iteration_count(1, 2)
+        assert k == 0
+        marked = np.array([target])
+        assert [_plane_draw(2, marked, k, theta, u) for u in (0.0, 0.49, 0.5, 1.0 - 2.0**-53)] == [
+            0, 0, 1, 1
+        ]
+
+    def test_search_holds_no_register_vector(self):
+        """A 20-qubit search whose marked set is cached peaks under 64 KiB."""
+        oracle = Oracle._from_marked(20, {3, 1 << 19, (1 << 20) - 1})
+        grover_search(oracle, 3, RandomSource(0))  # warm-up
+        with PeakMemory() as traced:
+            result = grover_search(oracle, 3, RandomSource(1))
+        assert traced.peak < 64 << 10
+        assert 0 <= result.outcome < 1 << 20

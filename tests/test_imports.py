@@ -18,6 +18,9 @@ TRACER_MARK = "# noqa: F401  (bound by perfbench/tracing.py)"
 TRACER_ONLY = {
     ("qregsim.circuit", "basis_state"),
     ("qregsim.algorithms.grover", "basis_state"),
+    ("qregsim.algorithms.grover", "measure_all"),
+    ("qregsim.algorithms.qam", "measure_all"),
+    ("qregsim.algorithms.qam", "amplify"),
     ("qregsim.algorithms.qrng", "measure_all"),
 }
 

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peak_memory import PeakMemory
 
 from qregsim import RandomSource
 from qregsim.algorithms import qam_query, qam_store, uniform_superposition
+from qregsim.algorithms.grover import amplify, iteration_count
 from qregsim.algorithms.qam import PatternMemory
+from qregsim.measurement import _draw_index
 
 TRIPLE_PATTERNS = ("00000", "10000", "11111")
 
@@ -136,3 +140,56 @@ class TestQuery:
         memory = qam_store(TRIPLE_PATTERNS)
         with pytest.raises(ValueError, match="length"):
             qam_query(memory, "111", 0, RandomSource(0))
+
+
+class _FixedUniform:
+    """A ``RandomSource`` stand-in whose one draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draw_count = 0
+
+    def uniform(self):
+        self.draw_count += 1
+        return self.u
+
+
+@st.composite
+def _queries(draw):
+    n = draw(st.integers(1, 8))
+    codes = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n))
+    patterns = [format(c, f"0{n}b") for c in draw(st.permutations(sorted(codes)))]
+    query = format(draw(st.integers(0, (1 << n) - 1)), f"0{n}b")
+    return patterns, query, draw(st.integers(0, n)), draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestPlaneDraw:
+    """``qam_query`` draws over the sorted stored codes, as the vector would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_queries())
+    def test_matches_the_amplified_memory_vector(self, case):
+        patterns, query, radius, u = case
+        memory = qam_store(patterns)
+        codes = [int(p, 2) for p in patterns]
+        marked = np.array(sorted(c for c in codes if bin(c ^ int(query, 2)).count("1") <= radius))
+        assume(marked.size)
+        k, theta = iteration_count(marked.size, len(codes))
+        probs = np.abs(amplify(memory.state.amplitudes, marked, k)) ** 2
+        cum = np.cumsum(probs)
+        assume(np.abs(cum / cum[-1] - u).min() > 1e-9)  # away from a bin edge
+        expected = _draw_index(probs, u)
+        rng = _FixedUniform(u)
+        result = qam_query(memory, query, radius, rng)
+        assert int(result.pattern, 2) == expected
+        assert rng.draw_count == 1
+        assert abs(result.predicted_success - math.sin((2 * k + 1) * theta) ** 2) < 1e-15
+
+    def test_query_holds_no_register_vector(self):
+        """A query of a 20-bit memory of 3 patterns peaks under 64 KiB."""
+        memory = qam_store(["0" * 20, "1" * 20, "0" * 19 + "1"])
+        qam_query(memory, "0" * 20, 1, RandomSource(0))  # warm-up
+        with PeakMemory() as traced:
+            result = qam_query(memory, "0" * 20, 1, RandomSource(1))
+        assert traced.peak < 64 << 10
+        assert result.pattern in memory.patterns
