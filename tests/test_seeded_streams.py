@@ -25,9 +25,20 @@ import pytest
 
 from test_cli_reports import _assert_same_document
 
-from qregsim import RandomSource, cli, parse_circuit, run_circuit
+from qregsim import (
+    HADAMARD,
+    NOT,
+    Circuit,
+    GateApplication,
+    RandomSource,
+    cli,
+    parse_circuit,
+    run_circuit,
+    serialize_circuit,
+)
 from qregsim.algorithms.grover import Oracle, count_marked, grover_search
 from qregsim.algorithms.qam import qam_query, qam_store
+from qregsim.algorithms.qft import qft_applications
 from qregsim.algorithms.qrng import qrng
 from qregsim.algorithms.shor import shor_factor, shor_period
 from qregsim.circuit import _GATES
@@ -147,6 +158,17 @@ def _inputs():
                   "shots": 1000, "seed": 5}
     sparse = "qubits 5\nh 0\nphase 0 0.9\nh 0\ncnot 0 3\nh 4\nmeasure 0 1 3 4\n"
     yield "run", {"circuit": sparse, "shots": (1 << 20) + 3, "seed": 6}
+    # Period finding at t = 15, where the inverse transform's phase fans
+    # span up to 14 qubits.
+    for seed in range(3):
+        yield "shor_factor", {"mod_n": 143, "seed": seed}
+    # The forward transform as a circuit file: each qubit's controlled-phase
+    # fan runs through ``run`` after a prefix that makes the input a
+    # superposition.
+    prefix = [GateApplication(HADAMARD, (q,)) for q in (0, 3, 4, 8)]
+    prefix += [GateApplication(NOT, (q,)) for q in (1, 6)]
+    transform = Circuit(10, (*prefix, *qft_applications(range(10))))
+    yield "run", {"circuit": serialize_circuit(transform), "shots": 4000, "seed": 7}
 
 
 def _record():
