@@ -31,13 +31,20 @@ from .grover import amplify  # noqa: F401  (bound by perfbench/tracing.py)
 class PatternMemory:
     """Distinct stored bit patterns and their superposition state.
 
-    The cached property ``_codes`` parses the patterns once, on the first
-    query, for every query of this memory.
+    No query reads the 2**n state, so it is built on first access, as the
+    cached property ``state``.  The cached property ``_codes`` parses the
+    patterns once, on the first query, for every query of this memory.
     """
 
     pattern_length: int
     patterns: tuple[str, ...]
-    state: QuantumState
+
+    @cached_property
+    def state(self) -> QuantumState:
+        """The uniform superposition with amplitude 1/sqrt(p) on each stored pattern."""
+        amps = np.zeros(1 << self.pattern_length, dtype=np.complex128)
+        amps[self._codes] = 1.0 / math.sqrt(len(self.patterns))
+        return _owned(self.pattern_length, amps)
 
     @cached_property
     def _codes(self) -> np.ndarray:
@@ -63,7 +70,10 @@ def _validate_pattern(pattern: str, length: int | None = None) -> str:
 
 
 def qam_store(patterns: Iterable[str]) -> PatternMemory:
-    """Store distinct equal-length bit patterns as their uniform superposition."""
+    """Store distinct equal-length bit patterns as their uniform superposition.
+
+    The patterns are checked here; the 2**n state is built only if read.
+    """
     patterns = tuple(patterns)
     if not patterns:
         raise ValueError("cannot store an empty pattern set")
@@ -73,9 +83,7 @@ def qam_store(patterns: Iterable[str]) -> PatternMemory:
     if len(set(patterns)) != len(patterns):
         raise ValueError("stored patterns must be distinct")
     _check_num_qubits(length)
-    amps = np.zeros(1 << length, dtype=np.complex128)
-    amps[[int(p, 2) for p in patterns]] = 1.0 / math.sqrt(len(patterns))
-    return PatternMemory(length, patterns, _owned(length, amps))
+    return PatternMemory(length, patterns)
 
 
 def qam_query(

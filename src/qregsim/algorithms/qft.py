@@ -5,10 +5,14 @@ extended linearly.  It is compiled to the standard ladder: for each qubit
 from the most significant down, a Hadamard followed by controlled phase
 rotations pi/2, pi/4, ... conditioned on the lower qubits, finished by a
 qubit-reversal swap stage.  Each ladder, forward and inverse, is built
-once per register and reused, so its gates keep their kernel plans.  A
-transform runs its ladder through the gate-sequence driver, which copies
-the input state once, before the first Hadamard, and runs every step in
-place in that copy.
+once per register and reused, so its gates keep their kernel plans.  Its
+kernel program is cached beside it, once per register width: each qubit's
+fan of controlled phases shares that qubit, so the fusion pass makes the
+fan one multiply of the half of the state where the qubit is 1, split in
+several when it spans more than ``gates._FUSED_QUBITS`` lower qubits.  A
+transform runs its program through the gate-sequence driver, which copies
+the input state once, before the first op, and runs every op in place in
+that copy.
 """
 
 from __future__ import annotations
@@ -59,6 +63,18 @@ def _inverse_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
     return tuple(inverted)
 
 
+@lru_cache(maxsize=16)
+def _forward_program(order: tuple[int, ...], num_qubits: int) -> tuple:
+    """The forward ladder's kernel ops on a ``num_qubits`` register."""
+    return tuple(gates._fuse(_forward_ladder(order), num_qubits))
+
+
+@lru_cache(maxsize=16)
+def _inverse_program(order: tuple[int, ...], num_qubits: int) -> tuple:
+    """The inverse ladder's kernel ops on a ``num_qubits`` register."""
+    return tuple(gates._fuse(_inverse_ladder(order), num_qubits))
+
+
 def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> tuple[int, ...]:
     if qubits is None:
         return tuple(range(state.num_qubits))
@@ -71,11 +87,11 @@ def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumStat
     Sub-register significance follows qubit index order, matching the basis
     index convention.
     """
-    ladder = _forward_ladder(_resolve_qubits(state, qubits))
-    return gates._evolve(state.amplitudes, state.num_qubits, ladder)
+    program = _forward_program(_resolve_qubits(state, qubits), state.num_qubits)
+    return gates._evolve(state.amplitudes, state.num_qubits, program)
 
 
 def inverse_qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:
     """Inverse transform; inverse_qft(qft(s)) recovers s."""
-    ladder = _inverse_ladder(_resolve_qubits(state, qubits))
-    return gates._evolve(state.amplitudes, state.num_qubits, ladder)
+    program = _inverse_program(_resolve_qubits(state, qubits), state.num_qubits)
+    return gates._evolve(state.amplitudes, state.num_qubits, program)

@@ -6,7 +6,9 @@ the period from the measured value by continued fractions.  Neither the
 modular arithmetic nor the function register is built: measuring it reads
 f with probability #{x : a**x = f (mod N)} / 2**t and leaves the t exponent
 qubits in the uniform comb over those x, so each sample draws f from that
-histogram and prepares the comb directly as amplitudes.
+histogram and prepares the comb directly as amplitudes.  The transformed
+comb's exponent y is drawn from its distribution with one uniform, as
+measuring all t qubits would, without building the collapsed state.
 A classical wrapper reduces factoring to order finding in the usual way.
 """
 
@@ -16,7 +18,8 @@ import math
 
 import numpy as np
 
-from ..measurement import RandomSource, _inverse_cdf, measure_qubits
+from ..measurement import RandomSource, _draw_index, _inverse_cdf
+from ..measurement import measure_qubits  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import _is_int, _owned, get_max_qubits
 from .qft import inverse_qft
 
@@ -100,8 +103,9 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
         comb = np.zeros(1 << t, dtype=np.complex128)
         comb[powers == f] = 1.0 / math.sqrt(1 << t)
         comb /= np.linalg.norm(comb)
-        outcome = measure_qubits(inverse_qft(_owned(t, comb)), range(t), rng)
-        y = sum(bit << q for q, bit in outcome.measured_bits.items())
+        # Measuring every exponent qubit reads the basis index itself; the
+        # collapsed state is not needed.
+        y = _draw_index(inverse_qft(_owned(t, comb)).probabilities(), rng.uniform())
         for r in _convergent_denominators(y, 1 << t, mod_n):
             if pow(a, r, mod_n) == 1:
                 return _minimal_order(r, a, mod_n)

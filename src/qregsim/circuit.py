@@ -94,7 +94,7 @@ class Circuit:
         _check_num_qubits(self.num_qubits)
         amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
         amps[0] = 1.0
-        return gates._evolve(amps, self.num_qubits, self.steps)
+        return gates._evolve(amps, self.num_qubits, gates._fuse(self.steps, self.num_qubits))
 
 
 @dataclass(frozen=True)

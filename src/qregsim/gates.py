@@ -9,10 +9,17 @@ operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
 output slice of the target axes sums input slices weighted by a matrix row.
 The kernel keeps that axis order but merges each run of adjacent non-target
 axes into one dimension, with the view's shape, transpose and chunk walk
-computed once per target tuple and register width.  One driver runs every
-gate sequence, from a single ``apply`` to a whole circuit or transform: it
-copies a caller's read-only amplitudes once and updates that one buffer in
-place for every gate, with a scratch buffer of a few chunk rows.  Every
+computed once per target tuple and register width.  A fusion pass turns a
+gate sequence into kernel ops: each run of adjacent diagonal steps that
+change amplitudes only where some shared qubits are 1, such as a qubit's
+fan of controlled phases in the Fourier ladder, becomes one in-place
+multiply of that sub-block by the product of the steps' entries.  Diagonal
+gates commute, so the result is the same to rounding, but one multiply
+rounds differently in the last bits than the steps one by one.  One driver
+runs every op sequence, from a single ``apply`` to a whole circuit or
+transform: it copies a caller's read-only amplitudes once and updates that
+one buffer in place for every op, with a scratch buffer of a few chunk rows
+for a gate and none for a fused run.  Every
 ``Gate`` is checked unitary where it is made, so a gate sequence maps a
 unit-norm state to a unit-norm state and its output is not checked again.
 """
@@ -51,13 +58,16 @@ class _Plan(NamedTuple):
     reads and those a multi-term row reads.  A row that only scales itself
     is updated where it is.  ``reads`` lists every row a written row reads,
     which a gate on every qubit parks instead, and ``products`` says whether
-    a multi-term row needs a scratch row for its scaled terms.
+    a multi-term row needs a scratch row for its scaled terms.  ``controls``
+    lists the target positions set in every written row: for a diagonal gate
+    (nothing parked), the qubits that must be 1 for it to change an amplitude.
     """
 
     rows: tuple[tuple[tuple, tuple[tuple[tuple, complex], ...]], ...]
     parked: tuple[tuple, ...]
     reads: tuple[tuple, ...]
     products: bool
+    controls: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -127,6 +137,7 @@ class Gate:
             parked=tuple(bits[c] for c in sorted(parked)),
             reads=tuple(bits[c] for c in sorted(reads)),
             products=any(len(terms[r]) > 1 for r in written),
+            controls=tuple(j for j in range(self.arity) if all(bits[r][j] for r in written)),
         )
 
     def __eq__(self, other) -> bool:
@@ -322,23 +333,125 @@ def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
                     dst += np.multiply(u, part, out=product)
 
 
-def _evolve(amplitudes: np.ndarray, num_qubits: int, steps) -> QuantumState:
-    """Run ``steps`` on unit-norm ``amplitudes`` in place; wrap the result unchecked.
+#: Free qubits per fused diagonal run: each multiply holds at most 2**14
+#: factors (256 KiB).  Read when a run is fused, never when one is applied.
+_FUSED_QUBITS = 14
 
-    A writable ``amplitudes`` is a buffer the caller hands over.  A
-    read-only one, such as a state's amplitudes, is copied once, before the
-    first step that changes it, so the caller's array is never written.
-    Every step then updates that one buffer.  Every gate is a checked
-    unitary, so the result is unit-norm to rounding and is not validated.
+
+class _Scale(NamedTuple):
+    """A fused run of diagonal steps: ``amps.reshape(shape)[index] *= factors``.
+
+    ``shape`` is the ``[2]*n`` register view with each run of adjacent
+    axes of one kind merged into one dimension: the run's shared qubits,
+    its free qubits, or the qubits it does not touch.  ``index`` picks the
+    all-ones row of every shared dimension, so the multiply touches only
+    the sub-block where every shared qubit is 1.  ``factors`` holds the
+    product of the steps' entries over each free dimension and is 1 along
+    the untouched ones, so it broadcasts over the sub-block.
     """
-    owned = amplitudes.flags.writeable
+
+    shape: tuple[int, ...]
+    index: tuple
+    factors: np.ndarray
+
+
+def _scale(run, shared: frozenset, num_qubits: int) -> _Scale:
+    """One multiply for ``run``, diagonal steps that change an amplitude
+    only where every qubit of ``shared`` is 1.
+
+    The factor of each free-qubit assignment is the product of the steps'
+    entries there, taken in step order, out of place: numpy scales a single
+    element in place with other rounding than it multiplies arrays.
+    """
+    free = sorted({q for step in run for q in step.targets} - shared, reverse=True)
+    factors = np.ones((1,) + (2,) * len(free), dtype=np.complex128)
+    for step in run:
+        targets = step.targets
+        entries = step.gate.matrix.diagonal().reshape((2,) * len(targets))
+        entries = entries[(*(1 if q in shared else slice(None) for q in targets), ...)]
+        own = [q for q in targets if q not in shared]
+        entries = entries.transpose(sorted(range(len(own)), key=own.__getitem__, reverse=True))
+        factors = factors * entries.reshape([1] + [2 if q in own else 1 for q in free])
+    shape, index, factor_shape = [], [], []
+    kind = None
+    for q in range(num_qubits - 1, -1, -1):
+        if kind == (q in shared, q in free):
+            shape[-1] *= 2
+            if q in free:
+                factor_shape[-1] *= 2
+            continue
+        kind = (q in shared, q in free)
+        shape.append(2)
+        index.append(-1 if q in shared else slice(None))
+        if q not in shared:
+            factor_shape.append(2 if q in free else 1)
+    factors = factors.reshape(factor_shape)
+    factors.flags.writeable = False  # cached programs share it
+    return _Scale(tuple(shape), tuple(index), factors)
+
+
+def _fuse(steps, num_qubits: int):
+    """The kernel ops for ``steps`` on a ``num_qubits`` register, in order.
+
+    Identity steps are dropped.  A run of two or more adjacent diagonal
+    steps (a gate whose plan parks no row) becomes one ``_Scale`` when some
+    qubit must be 1 for every one of them to change an amplitude: diagonal
+    gates commute, and each is the identity off the sub-block where those
+    shared qubits are 1.  A run grows while it keeps a shared qubit and at
+    most ``_FUSED_QUBITS`` free ones, so a longer fan is split into several
+    multiplies.  Runs with no shared qubit stay separate steps, since one
+    multiply would touch more of the state than they do, as does a run
+    whose sub-block is a single amplitude.  Every other step is yielded as
+    it is.
+    """
+    run: list[GateApplication] = []
+    shared: frozenset = frozenset()
+    touched: frozenset = frozenset()
+
+    def flush():
+        if len(run) > 1 and len(shared) < num_qubits:
+            return (_scale(run, shared, num_qubits),)
+        return tuple(run)
+
     for step in steps:
         plan = step.gate._plan
         if plan is None:
             continue
+        if plan.parked:
+            if run:
+                yield from flush()
+                run = []
+            yield step
+            continue
+        controls = frozenset(step.targets[j] for j in plan.controls)
+        common, wider = shared & controls, touched.union(step.targets)
+        if run and common and len(wider) - len(common) <= _FUSED_QUBITS:
+            run.append(step)
+            shared, touched = common, wider
+            continue
+        yield from flush()
+        run, shared, touched = [step], controls, frozenset(step.targets)
+    yield from flush()
+
+
+def _evolve(amplitudes: np.ndarray, num_qubits: int, ops) -> QuantumState:
+    """Run kernel ops on unit-norm ``amplitudes`` in place; wrap the result unchecked.
+
+    ``ops`` are gate applications with a plan and fused runs, as ``_fuse``
+    yields them.  A writable ``amplitudes`` is a buffer the caller hands
+    over.  A read-only one, such as a state's amplitudes, is copied once,
+    before the first op, so the caller's array is never written.  Every op
+    then updates that one buffer.  Every gate is a checked unitary, so the
+    result is unit-norm to rounding and is not validated.
+    """
+    owned = amplitudes.flags.writeable
+    for op in ops:
         if not owned:
             amplitudes, owned = amplitudes.copy(), True
-        _update(plan, step.targets, amplitudes)
+        if isinstance(op, _Scale):
+            amplitudes.reshape(op.shape)[op.index] *= op.factors
+        else:
+            _update(op.gate._plan, op.targets, amplitudes)
     return _owned(num_qubits, amplitudes)
 
 

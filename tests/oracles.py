@@ -9,7 +9,8 @@ amplification through one full-vector pass per reflection, shot
 sampling through unsorted lookups, circuit runs through every qubit of
 the register, idle ones included, period finding through the whole
 exponent-and-function register, the gate kernel through one ``[2]``
-dimension per qubit with its axis lists rebuilt on every call, random
+dimension per qubit with its axis lists rebuilt on every call, a fused
+run of diagonal gates through one factor per basis index, random
 integers through one full measurement per round, the coined walk through
 one coin matrix product and two shifted copies of the whole line per step,
 and the classical walk through one binomial coefficient per position.
@@ -249,6 +250,25 @@ def update_reference(plan, targets, amps: np.ndarray) -> None:
                     dst += part
                 else:
                     dst += np.multiply(u, part, out=tmp)
+
+
+def diagonal_run_reference(steps, amps: np.ndarray) -> None:
+    """A run of diagonal steps as one multiply, by basis index, in place.
+
+    Each index's factor is the product of every step's diagonal entry at
+    the index's bits of that step's targets (first target most
+    significant), in step order and out of place, over the whole register;
+    then every amplitude is scaled by its factor.  An index no step changes
+    has the factor 1 exactly.
+    """
+    indices = np.arange(amps.size)
+    factor = np.ones(amps.size, dtype=np.complex128)
+    for step in steps:
+        key = np.zeros(amps.size, dtype=np.intp)
+        for q in step.targets:
+            key = key << 1 | (indices >> q) & 1
+        factor = factor * np.diagonal(step.gate.matrix)[key]
+    amps *= factor
 
 
 def chi_square_statistic(counts: np.ndarray, expected: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_embed, random_state_vector, update_reference
+from oracles import diagonal_run_reference, kron_embed, random_state_vector, update_reference
 
 from qregsim import (
     CNOT,
@@ -35,6 +35,7 @@ from qregsim import (
     gates,
 )
 from qregsim.algorithms import inverse_qft, qft
+from qregsim.algorithms.qft import _forward_program, _inverse_program
 
 PHI_SAMPLES = (0.0, math.pi / 7, math.pi / 2, math.pi)
 
@@ -371,6 +372,17 @@ class TestValues:
         assert gate._plan is gate._plan
 
 
+def _fused(steps, n):
+    """The fused runs among the kernel ops of ``steps`` on ``n`` qubits."""
+    return [op for op in gates._fuse(steps, n) if isinstance(op, gates._Scale)]
+
+
+def _controlled_diagonal(arity, control, rng):
+    """A random diagonal gate that changes only rows with bit ``control`` set."""
+    bits = (np.arange(1 << arity) >> (arity - 1 - control)) & 1
+    return custom_gate(arity, np.diag(np.where(bits, np.exp(1j * rng.uniform(-3, 3, 1 << arity)), 1)))
+
+
 def _row_numbers(indices):
     """Plan row indices (bit tuples ending in Ellipsis) as matrix row numbers."""
     return [int("".join(str(b) for b in index[:-1]), 2) for index in indices]
@@ -420,7 +432,13 @@ class TestSequenceKernel:
         for step in steps:
             expected = apply(expected, step)
         got = Circuit(n, tuple(steps)).final_state()
-        assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        if _fused(steps, n):
+            # One multiply per fused run rounds differently in the last bits.
+            np.testing.assert_allclose(got.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+            again = Circuit(n, tuple(steps)).final_state()
+            assert again.amplitudes.tobytes() == got.amplitudes.tobytes()
+        else:
+            assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
     @pytest.mark.parametrize("chunk_qubits", [1, 2, 3])
     def test_chunked_kernel_bit_identical(self, monkeypatch, chunk_qubits):
@@ -588,3 +606,100 @@ class TestLayout:
                     assert len(layout.shape) - outer <= 2 * k + 1
                     assert len(layout.shape) <= 2 * k + (2 if outer else 1)
                     assert sorted(layout.order) == list(range(len(layout.shape)))
+
+
+class TestDiagonalFusion:
+    """Runs of adjacent diagonal steps that share a set qubit become one multiply."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_final_state_matches_folded_apply_and_dense_product(self, data):
+        n = data.draw(st.integers(1, 8), label="num_qubits")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kinds = [phase_shift(rng.uniform(-3, 3)), HADAMARD, NOT]
+        if n > 1:
+            kinds += [controlled_phase(rng.uniform(-3, 3)), CNOT, custom_gate(2, _random_unitary(2, rng))]
+        for arity in range(1, min(n, 3) + 1):
+            kinds += [_controlled_diagonal(arity, int(rng.integers(arity)), rng),
+                      custom_gate(arity, np.diag(np.exp(1j * rng.uniform(-3, 3, 1 << arity))))]
+        steps = []
+        for _ in range(data.draw(st.integers(0, 24), label="length")):
+            gate = kinds[data.draw(st.integers(0, len(kinds) - 1))]
+            steps.append(GateApplication(gate, data.draw(st.permutations(range(n)))[: gate.arity]))
+        folded, dense = basis_state(n, 0), np.eye(1 << n)[:, 0]
+        for step in steps:
+            folded = apply(folded, step)
+            dense = kron_embed(matrix_of(step.gate), step.targets, n) @ dense
+        got = Circuit(n, tuple(steps)).final_state().amplitudes
+        np.testing.assert_allclose(got, folded.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fused_op_matches_index_reference_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            shared = int(rng.integers(n))
+            others = [q for q in range(n) if q != shared]
+            steps = []
+            for _ in range(int(rng.integers(2, 7))):
+                arity = int(rng.integers(1, min(n, 3) + 1))
+                targets = [shared, *(int(q) for q in rng.choice(others, arity - 1, replace=False))]
+                order = [int(j) for j in rng.permutation(arity)]
+                gate = (phase_shift(rng.uniform(-3, 3)) if arity == 1 and rng.random() < 0.5
+                        else controlled_phase(rng.uniform(-3, 3)) if arity == 2 and rng.random() < 0.5
+                        else _controlled_diagonal(arity, order.index(0), rng))
+                steps.append(GateApplication(gate, [targets[j] for j in order]))
+            ops = list(gates._fuse(steps, n))
+            assert len(ops) == 1 and isinstance(ops[0], gates._Scale)
+            amps = random_state_vector(n, rng)
+            want = amps.copy()
+            diagonal_run_reference(steps, want)
+            got = gates._evolve(amps.copy(), n, ops).amplitudes
+            assert got.tobytes() == want.tobytes(), steps
+
+    @pytest.mark.parametrize("n, steps", [
+        (4, [(phase_shift(0.3), (0,)), (phase_shift(0.4), (1,))]),
+        (4, [(controlled_phase(0.3), (0, 1)), (controlled_phase(0.4), (2, 3))]),
+        (4, [(custom_gate(2, np.diag(np.exp(1j * np.arange(4.0)))), (1, 2)), (phase_shift(0.4), (1,))]),
+        (4, [(phase_shift(0.3), (2,)), (HADAMARD, (0,)), (phase_shift(0.4), (2,))]),
+        (2, [(controlled_phase(0.3), (0, 1)), (controlled_phase(0.4), (1, 0))]),
+    ], ids=["disjoint-phases", "disjoint-cphases", "no-control", "dense-between", "one-amplitude"])
+    def test_runs_with_no_shared_set_qubit_stay_unfused(self, n, steps):
+        """So does a run whose sub-block is one amplitude: the steps scale it
+        out of place, which rounds as arrays do."""
+        steps = [GateApplication(g, t) for g, t in steps]
+        assert list(gates._fuse(steps, n)) == steps
+
+    def test_shared_qubit_joins_phase_and_cphase(self):
+        steps = [GateApplication(phase_shift(0.3), (2,)), GateApplication(controlled_phase(0.5), (0, 2)),
+                 GateApplication(IDENTITY, (1,)), GateApplication(controlled_phase(0.7), (2, 3))]
+        (op,) = gates._fuse(steps, 5)
+        # Qubit 4 is untouched, 2 shared; 3 and 0 are free, split by 1 and 2.
+        assert op.shape == (2, 2, 2, 2, 2)
+        assert op.index == (slice(None), slice(None), -1, slice(None), slice(None))
+        assert op.factors.shape == (1, 2, 1, 2)
+
+    def test_wide_fan_splits_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(gates, "_FUSED_QUBITS", 2)
+        n = 7
+        fan = [GateApplication(controlled_phase(math.pi / (1 << d)), (d - 1, 6)) for d in range(1, 7)]
+        ops = list(gates._fuse(fan, n))
+        assert [type(op) for op in ops] == [gates._Scale] * 3
+        assert [op.factors.size for op in ops] == [4, 4, 4]
+        amps = random_state_vector(n, np.random.default_rng(110))
+        got = gates._evolve(amps.copy(), n, ops).amplitudes
+        want = amps.copy()
+        for i in range(3):
+            diagonal_run_reference(fan[2 * i: 2 * i + 2], want)
+        assert got.tobytes() == want.tobytes()
+        monkeypatch.undo()
+        (op,) = gates._fuse(fan, n)
+        assert op.factors.size == 1 << 6
+
+    @pytest.mark.parametrize("t", [16, 20])
+    def test_no_fused_op_holds_more_than_the_bound(self, t):
+        for build in (_forward_program.__wrapped__, _inverse_program.__wrapped__):
+            program = build(tuple(range(t)), t)
+            scales = [op for op in program if isinstance(op, gates._Scale)]
+            assert len(scales) > t // 2
+            assert max(op.factors.size for op in scales) == 1 << gates._FUSED_QUBITS

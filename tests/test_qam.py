@@ -75,6 +75,18 @@ class TestStore:
                 qam_store(["0" * 40])
         assert traced.peak < 1 << 20
 
+    def test_store_holds_no_register_vector(self):
+        """Storing three 20-bit patterns peaks under 64 KiB; the 16 MiB state
+        is built on first read and kept."""
+        patterns = ["0" * 20, "1" * 20, "0" * 19 + "1"]
+        with PeakMemory() as traced:
+            memory = qam_store(patterns)
+        assert traced.peak < 64 << 10
+        state = memory.state
+        assert state is memory.state
+        assert state.probability(0) == pytest.approx(1 / 3)
+        assert not state.amplitudes.flags.writeable
+
 
 class TestQuery:
     def test_near_match_closed_form(self):

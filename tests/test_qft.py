@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dft_matrix, random_state_vector
+from peak_memory import peak_over_state
 
 from qregsim import RandomSource, basis_state, from_amplitudes, gates, measure_qubits
 from qregsim.algorithms import inverse_qft, qft, qft_applications
@@ -143,8 +144,11 @@ class TestLadderCache:
         inverse_qft(qft(state, register), register)
         assert built == []
 
-    @pytest.mark.parametrize("register", [None, [4, 1, 2]])
+    @pytest.mark.parametrize("register", [None, [4, 1, 2], [3, 0]])
     def test_outputs_bit_identical_to_uncached_ladder(self, register):
+        """Bit for bit against the uncached ladder, fused afresh, and against
+        its steps applied one by one where no run fused; one multiply per
+        fused run rounds differently in the last bits, so to 1e-12 there."""
         state = from_amplitudes(5, random_state_vector(5, np.random.default_rng(64)))
         order = tuple(sorted(register)) if register else tuple(range(5))
         forward = _forward_ladder.__wrapped__(order)
@@ -159,9 +163,25 @@ class TestLadderCache:
             expected = state
             for step in steps:
                 expected = gates.apply(expected, step)
+            ops = list(gates._fuse(steps, 5))
+            fused = gates._evolve(state.amplitudes, 5, ops)
             for _ in range(2):
                 got = cached(state, register)
-                assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+                assert got.amplitudes.tobytes() == fused.amplitudes.tobytes()
+                if any(isinstance(op, gates._Scale) for op in ops):
+                    np.testing.assert_allclose(got.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+                else:
+                    assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    def test_inverse_at_16_qubits_peaks_at_one_state_and_chunk_scratch(self):
+        """Once the caches are filled, the state copy, three chunk rows of an
+        h's scratch and numpy's 256 KiB of ufunc buffers: the fused runs
+        multiply in place and hold only their cached factors."""
+        n = 16
+        state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(66)))
+        inverse_qft(state)
+        scratch = (3 << gates._CHUNK_QUBITS) * 16 + (256 << 10)
+        assert peak_over_state(lambda: inverse_qft(state), n) <= 1.0 + scratch / (16 << n) + 0.01
 
     def test_public_ladder_is_a_fresh_list(self):
         first = qft_applications([0, 1, 2])
