@@ -12,14 +12,16 @@ exponent-and-function register, the gate kernel through one ``[2]``
 dimension per qubit with its axis lists rebuilt on every call, a fused
 run of diagonal gates through one factor per basis index, random
 integers through one full measurement per round, the coined walk through
-one coin matrix product and two shifted copies of the whole line per step,
-and the classical walk through one binomial coefficient per position.
+one coin matrix product and two shifted copies of the whole line per step
+(and, exactly, through Gaussian integers keyed by position), and the
+classical walk through one binomial coefficient per position.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -208,6 +210,30 @@ def quantum_walk_reference(steps: int, coin_init) -> np.ndarray:
         shifted[1:, 1] = psi[:-1, 1]
         psi = shifted
     return (np.abs(psi) ** 2).sum(axis=1)
+
+
+def quantum_walk_exact(steps: int) -> list[Fraction]:
+    """Symmetric-coin walk probabilities over -steps..steps as exact fractions.
+
+    Runs the unnormalised step sqrt(2) * H from coin (1, i), which is
+    sqrt(2) times ``SYMMETRIC_COIN``, on Gaussian integers held as
+    ``(real, imaginary)`` pairs of Python ints in dicts keyed by position.
+    The squared magnitudes are divided by the final norm, 2 * 2**steps.
+    """
+    zero = (0, 0)
+    left, right = {0: (1, 0)}, {0: (0, 1)}  # coin 0 and coin 1 by position
+    for _ in range(steps):
+        new_left, new_right = {}, {}
+        for x in left.keys() | right.keys():
+            (ar, ai), (br, bi) = left.get(x, zero), right.get(x, zero)
+            new_left[x - 1] = (ar + br, ai + bi)
+            new_right[x + 1] = (ar - br, ai - bi)
+        left, right = new_left, new_right
+    norm = 2 << steps
+    return [
+        Fraction(sum(re * re + im * im for re, im in (left.get(x, zero), right.get(x, zero))), norm)
+        for x in range(-steps, steps + 1)
+    ]
 
 
 def classical_walk_reference(steps: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peak_memory import PeakMemory
-from oracles import classical_walk_reference, quantum_walk_reference
+from oracles import classical_walk_reference, quantum_walk_exact, quantum_walk_reference
 
 import qregsim
 from qregsim.algorithms import classical_walk_line, quantum_walk_line
@@ -111,14 +111,33 @@ class TestAgainstReference:
         np.testing.assert_allclose(p, p[::-1], rtol=0, atol=1e-12)
 
 
+class TestAgainstExact:
+    """Against exact rational probabilities, across the rescale boundaries."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 10, 63, 64, 65, 127, 128, 129, 200])
+    def test_symmetric_coin(self, steps):
+        expected = [float(p) for p in quantum_walk_exact(steps)]
+        dist = quantum_walk_line(steps, SYMMETRIC_COIN)
+        np.testing.assert_allclose(dist.probabilities, expected, rtol=0, atol=1e-15)
+
+    def test_long_walk_stays_finite_and_normalised(self):
+        """10,000 steps cross 156 rescalings."""
+        p = quantum_walk_line(10_000).probabilities
+        assert np.isfinite(p).all()
+        assert np.all(p[1::2] == 0.0)
+        assert abs(p.sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(p, p[::-1], rtol=0, atol=1e-12)
+
+
 class TestMemory:
     STEPS = 4000
-    # Three complex arrays of steps + 1 light-cone sites (two coins and the
-    # scratch), the returned positions and probabilities (2 * steps + 1
-    # eight-byte entries each), and up to three float temporaries of
-    # steps + 1 while the probabilities are formed.  The whole-line loop
-    # holds two (2 * steps + 1, 2) complex arrays at once and peaks at about
-    # 1.8 times this.
+    # Three complex arrays of steps + 1 light-cone sites (coin 1, and coin 0
+    # in two rows that alternate; the second row replaces a scratch array),
+    # the returned positions and probabilities (2 * steps + 1 eight-byte
+    # entries each), and up to three float temporaries of steps + 1 while
+    # the probabilities are formed.  The whole-line loop holds two
+    # (2 * steps + 1, 2) complex arrays at once and peaks at about 1.8 times
+    # this.
     BOUND = (3 * 16 + 3 * 8) * (STEPS + 1) + 2 * 8 * (2 * STEPS + 1) + 4096
 
     def test_peak_within_bound(self):
