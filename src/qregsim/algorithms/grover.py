@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -159,24 +159,11 @@ def _plane_draw(total: int, marked: np.ndarray, rounds: int, theta: float, u: fl
     return j + min(max(math.floor((t - j * wm) / wu), low), high)
 
 
-def _build_uniform_superposition(num_qubits: int) -> QuantumState:
-    dim = 1 << num_qubits
-    return _owned(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
-
-
-#: Widest register whose uniform superposition (and qrng lookup) is cached.
-_CACHED_QUBITS = 20
-
-_uniform_superposition_cached = lru_cache(maxsize=8)(_build_uniform_superposition)
-
-
 def uniform_superposition(num_qubits: int) -> QuantumState:
     """Hadamard on every qubit of |0...0>: amplitude 2**(-n/2) everywhere."""
     num_qubits = _check_num_qubits(num_qubits)
-    # States are immutable, so small ones are shared across callers.
-    if num_qubits <= _CACHED_QUBITS:
-        return _uniform_superposition_cached(num_qubits)
-    return _build_uniform_superposition(num_qubits)
+    dim = 1 << num_qubits
+    return _owned(num_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
 def _checked_rounds(oracle: Oracle, marked_count: int) -> tuple[np.ndarray, int, float]:

@@ -379,6 +379,20 @@ class TestEnvironmentCap:
         finally:
             qregsim.set_max_qubits(old)
 
+    def test_chunk_past_53_refused_under_a_wider_cap(self, capsys, monkeypatch):
+        import qregsim
+
+        old = qregsim.get_max_qubits()
+        monkeypatch.setenv("QREGSIM_MAX_QUBITS", "64")
+        try:
+            code, out, err = run_cli(capsys, "qrng", "--bits", "60", "--chunk", "60",
+                                     "--seed", "1")
+            assert code == 2
+            assert out == ""
+            assert "exceeds 53" in err
+        finally:
+            qregsim.set_max_qubits(old)
+
     def test_invalid_cap_value(self, capsys, monkeypatch):
         import qregsim
 

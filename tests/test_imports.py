@@ -22,6 +22,7 @@ TRACER_ONLY = {
     ("qregsim.algorithms.qam", "measure_all"),
     ("qregsim.algorithms.qam", "amplify"),
     ("qregsim.algorithms.qrng", "measure_all"),
+    ("qregsim.algorithms.qrng", "uniform_superposition"),
     ("qregsim.algorithms.shor", "measure_qubits"),
 }
 

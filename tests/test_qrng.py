@@ -1,6 +1,7 @@
 """Tests for chunked random bit generation."""
 
 import importlib
+import time
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import chi_square_statistic, qrng_reference
+from peak_memory import PeakMemory
 
-from qregsim import RandomSource
-from qregsim.algorithms import qrng
+from qregsim import RandomSource, get_max_qubits, set_max_qubits
+from qregsim.algorithms import qrng, uniform_superposition
+from qregsim.measurement import _inverse_cdf
 
 # ``qregsim.algorithms.qrng`` names the function once the package is imported.
 qrng_module = importlib.import_module("qregsim.algorithms.qrng")
@@ -97,21 +100,98 @@ class TestUniformity:
         assert abs(sum(values) / 20_000 - 0.5) < 5 * (0.25 / 20_000) ** 0.5
 
 
-class TestLookupCache:
-    def test_lookup_built_once_per_chunk_width_and_read_only(self):
-        qrng(4, 4, RandomSource(0))
-        before = qrng_module._round_lookup_cached.cache_info()
-        qrng(8, 4, RandomSource(1))
-        after = qrng_module._round_lookup_cached.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        cdf = qrng_module._round_lookup_cached(4).func.__self__
-        with pytest.raises(ValueError, match="read-only"):
-            cdf[0] = 0.5
+class _FixedUniforms:
+    """A stand-in ``RandomSource`` that hands out the given uniforms in order."""
 
-    def test_chunks_above_the_cached_width_build_their_own(self, monkeypatch):
-        monkeypatch.setattr(qrng_module, "_CACHED_QUBITS", 2)
-        before = qrng_module._round_lookup_cached.cache_info()
-        for seed in range(5):
-            fast, slow = RandomSource(seed), RandomSource(seed)
-            assert qrng(9, 3, fast) == qrng_reference(9, 3, slow)
-        assert qrng_module._round_lookup_cached.cache_info() == before
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.draw_count = 0
+
+    def uniforms(self, count):
+        start, self.draw_count = self.draw_count, self.draw_count + count
+        return self.values[start:self.draw_count].copy()
+
+
+def _rounds(value, count, chunk):
+    """The ``count`` round outcomes packed in a qrng value, lowest round first."""
+    octets = np.frombuffer(value.to_bytes(-(-count * chunk // 8), "little"), dtype=np.uint8)
+    bits = np.unpackbits(octets, count=count * chunk, bitorder="little").reshape(count, chunk)
+    return bits.astype(np.int64) @ (1 << np.arange(chunk, dtype=np.int64))
+
+
+class TestFloorAgainstCdf:
+    """``floor(u * 2**chunk)`` against the Born lookup of the prepared state."""
+
+    @pytest.mark.parametrize("chunk", range(1, 17))
+    def test_rounds_match_the_born_lookup_off_its_edges(self, chunk):
+        probs = uniform_superposition(chunk).probabilities()
+        cdf = np.add.accumulate(probs)  # as _inverse_cdf builds it
+        cdf /= cdf[-1]
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        edges = edges[edges < 1.0]
+        uniforms = np.concatenate([edges, RandomSource(chunk).uniforms(20_000)])
+        source = _FixedUniforms(uniforms)
+        fast = _rounds(qrng(chunk * uniforms.size, chunk, source), uniforms.size, chunk)
+        slow = _inverse_cdf(probs)(uniforms)
+        assert source.draw_count == uniforms.size
+        differ = fast != slow
+        if chunk % 2 == 0:
+            assert not differ.any()
+        else:
+            # 2**(-chunk/2) squared is not exactly 2**-chunk, so a few odd
+            # CDF values sit one ulp off the dyadic edge.
+            assert np.isin(uniforms[differ], edges).all()
+            assert (np.abs(fast - slow)[differ] == 1).all()
+
+
+class TestWideChunks:
+    def test_every_bit_of_a_53_qubit_round_varies(self):
+        old = get_max_qubits()
+        set_max_qubits(64)
+        try:
+            rounds = _rounds(qrng(53 * 200, 53, RandomSource(4)), 200, 53)
+        finally:
+            set_max_qubits(old)
+        bits = (rounds[:, None] >> np.arange(53)) & 1
+        assert bits.any(axis=0).all() and not bits.all(axis=0).any()
+
+    @pytest.mark.parametrize("chunk", [54, 64])
+    def test_chunks_past_53_refused_before_any_draw(self, chunk):
+        old = get_max_qubits()
+        set_max_qubits(64)
+        try:
+            rng = RandomSource(0)
+            with pytest.raises(ValueError, match="exceeds 53"):
+                qrng(chunk, chunk, rng)
+            assert rng.draw_count == 0
+        finally:
+            set_max_qubits(old)
+
+
+class TestMemory:
+    """tracemalloc peaks after one warm-up call: no 2**chunk state or CDF."""
+
+    @staticmethod
+    def _peak(num_bits, chunk):
+        qrng(num_bits, chunk, RandomSource(0))
+        with PeakMemory() as traced:
+            qrng(num_bits, chunk, RandomSource(1))
+        return traced.peak
+
+    @pytest.mark.parametrize("chunk", [20, 26])
+    def test_one_wide_round_under_a_mib(self, chunk):
+        assert self._peak(chunk, chunk) < 1 << 20
+
+    def test_many_rounds_under_the_born_lookup_peak(self):
+        """The Born-lookup path peaked at 40 MiB here, one uint8 per bit."""
+        assert self._peak(1 << 24, 1) < 40 << 20
+
+    def test_peak_grows_with_the_result_only(self):
+        """Past one batch, the peak grows by a few copies of the result's bytes."""
+        small, large = self._peak(1 << 22, 1), self._peak(1 << 24, 1)
+        assert large - small <= 4 * ((1 << 24) - (1 << 22)) // 8
+
+    def test_a_million_three_qubit_rounds_stay_fast(self):
+        start = time.perf_counter()
+        qrng(10**6, 3, RandomSource(6))
+        assert time.perf_counter() - start < 0.1

@@ -48,7 +48,6 @@ from qregsim.algorithms import (
     amplified_state,
     classical_walk_line,
     count_marked,
-    grover,
     grover_search,
     inverse_qft,
     qam_query,
@@ -104,9 +103,7 @@ _MEMORY = qam_store(TRIPLE_PATTERNS)
 LIBRARY_BUILT = {
     "basis_state": lambda: basis_state(3, 5),
     "tensor": lambda: tensor(_STATE, basis_state(2, 1)),
-    "uniform_superposition": lambda: (
-        grover._uniform_superposition_cached.cache_clear(), uniform_superposition(5)
-    ),
+    "uniform_superposition": lambda: uniform_superposition(5),
     "measure_all": lambda: measure_all(_STATE, RandomSource(1)),
     "measure_qubits": lambda: measure_qubits(_STATE, [0, 2], RandomSource(1)),
     "grover_search": lambda: grover_search(Oracle(5, lambda i: i == 3), 1, RandomSource(2)),
