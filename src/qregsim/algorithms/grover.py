@@ -27,10 +27,20 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..circuit import _MAX_OUTCOME_BITS
 from ..measurement import RandomSource
 from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import QuantumState, _check_num_qubits, _is_int, _owned
 from ..state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
+
+
+def _check_index_width(num_qubits: int) -> int:
+    """A width within the cap whose basis indices fit int64 (np.intp)."""
+    if _check_num_qubits(num_qubits) > _MAX_OUTCOME_BITS:
+        raise ValueError(
+            f"{num_qubits}-qubit basis indices do not fit int64; at most {_MAX_OUTCOME_BITS} qubits do"
+        )
+    return int(num_qubits)
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class Oracle:
     @cached_property
     def _marked(self) -> np.ndarray:
         """The marked indices, enumerated once per oracle on first use."""
-        _check_num_qubits(self.num_qubits)
+        _check_index_width(self.num_qubits)
         marked = np.fromiter(filter(self.predicate, range(1 << self.num_qubits)), dtype=np.intp)
         marked.flags.writeable = False
         return marked
@@ -74,7 +84,7 @@ class Oracle:
         """
         targets = frozenset(indices)
         oracle = cls(num_qubits, targets.__contains__)
-        _check_num_qubits(oracle.num_qubits)
+        _check_index_width(oracle.num_qubits)
         marked = np.array(sorted(targets), dtype=np.intp)
         marked.flags.writeable = False
         oracle.__dict__["_marked"] = marked

@@ -22,8 +22,8 @@ import numpy as np
 
 from ..measurement import RandomSource
 from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
-from ..state import QuantumState, _check_num_qubits, _is_int, _owned
-from .grover import _plane_draw, iteration_count
+from ..state import QuantumState, _is_int, _owned
+from .grover import _check_index_width, _plane_draw, iteration_count
 from .grover import amplify  # noqa: F401  (bound by perfbench/tracing.py)
 
 
@@ -82,7 +82,7 @@ def qam_store(patterns: Iterable[str]) -> PatternMemory:
         _validate_pattern(pattern, length)
     if len(set(patterns)) != len(patterns):
         raise ValueError("stored patterns must be distinct")
-    _check_num_qubits(length)
+    _check_index_width(length)
     return PatternMemory(length, patterns)
 
 

@@ -4,15 +4,20 @@ The transform maps |j> to 2**(-n/2) * sum_k exp(2*pi*i*j*k / 2**n) |k>,
 extended linearly.  It is compiled to the standard ladder: for each qubit
 from the most significant down, a Hadamard followed by controlled phase
 rotations pi/2, pi/4, ... conditioned on the lower qubits, finished by a
-qubit-reversal swap stage.  Each ladder, forward and inverse, is built
-once per register and reused, so its gates keep their kernel plans.  Its
-kernel program is cached beside it, once per register width: each qubit's
-fan of controlled phases shares that qubit, so the fusion pass makes the
-fan one multiply of the half of the state where the qubit is 1, split in
-several when it spans more than ``gates._FUSED_QUBITS`` lower qubits.  A
-transform runs its program through the gate-sequence driver, which copies
-the input state once, before the first op, and runs every op in place in
-that copy.
+qubit-reversal swap stage.  The inverse is the same ladder with every
+phase negated: the transform's matrix F is symmetric, so F^-1 = F^dagger =
+conj(F), and H and swap are real, so conjugating the ladder negates its
+phases and keeps its order.  On a sub-register the transform is
+P^T (I x F) P for a qubit permutation P, and the same holds.
+
+Each ladder, per register and phase sign, is built once and reused, so its
+gates keep their kernel plans.  Its kernel program is cached beside it,
+once per register width: each qubit's fan of controlled phases shares that
+qubit, so the fusion pass makes the fan one multiply of the half of the
+state where the qubit is 1, split in several when it spans more than
+``gates._FUSED_QUBITS`` lower qubits.  A transform runs its program
+through the gate-sequence driver, which copies the input state once,
+before the first op, and runs every op in place in that copy.
 """
 
 from __future__ import annotations
@@ -32,17 +37,18 @@ def qft_applications(qubits: Sequence[int]) -> list[GateApplication]:
     ``qubits`` lists the register's qubit indices; significance follows the
     listed order with the last entry most significant.
     """
-    return list(_forward_ladder(_check_qubits(qubits)))
+    return list(_ladder(_check_qubits(qubits), 1))
 
 
 @lru_cache(maxsize=16)
-def _forward_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
+def _ladder(order: tuple[int, ...], sign: int) -> tuple[GateApplication, ...]:
+    """The ladder on ``order`` with each phase ``sign * pi / 2**d``."""
     steps: list[GateApplication] = []
     m = len(order)
     for i in range(m - 1, -1, -1):
         steps.append(GateApplication(gates.HADAMARD, (order[i],)))
         for d in range(1, i + 1):
-            phi = math.pi / (1 << d)
+            phi = sign * math.pi / (1 << d)
             steps.append(
                 GateApplication(gates.controlled_phase(phi), (order[i - d], order[i]))
             )
@@ -52,27 +58,9 @@ def _forward_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
 
 
 @lru_cache(maxsize=16)
-def _inverse_ladder(order: tuple[int, ...]) -> tuple[GateApplication, ...]:
-    """The forward ladder reversed, every controlled phase negated."""
-    inverted = []
-    for step in reversed(_forward_ladder(order)):
-        gate = step.gate
-        if gate.phi is not None:
-            gate = gates.controlled_phase(-gate.phi)
-        inverted.append(GateApplication(gate, step.targets))
-    return tuple(inverted)
-
-
-@lru_cache(maxsize=16)
-def _forward_program(order: tuple[int, ...], num_qubits: int) -> tuple:
-    """The forward ladder's kernel ops on a ``num_qubits`` register."""
-    return tuple(gates._fuse(_forward_ladder(order), num_qubits))
-
-
-@lru_cache(maxsize=16)
-def _inverse_program(order: tuple[int, ...], num_qubits: int) -> tuple:
-    """The inverse ladder's kernel ops on a ``num_qubits`` register."""
-    return tuple(gates._fuse(_inverse_ladder(order), num_qubits))
+def _program(order: tuple[int, ...], num_qubits: int, sign: int) -> tuple:
+    """The ladder's kernel ops on a ``num_qubits`` register."""
+    return tuple(gates._fuse(_ladder(order, sign), num_qubits))
 
 
 def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> tuple[int, ...]:
@@ -87,11 +75,11 @@ def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumStat
     Sub-register significance follows qubit index order, matching the basis
     index convention.
     """
-    program = _forward_program(_resolve_qubits(state, qubits), state.num_qubits)
+    program = _program(_resolve_qubits(state, qubits), state.num_qubits, 1)
     return gates._evolve(state.amplitudes, state.num_qubits, program)
 
 
 def inverse_qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:
     """Inverse transform; inverse_qft(qft(s)) recovers s."""
-    program = _inverse_program(_resolve_qubits(state, qubits), state.num_qubits)
+    program = _program(_resolve_qubits(state, qubits), state.num_qubits, -1)
     return gates._evolve(state.amplitudes, state.num_qubits, program)

@@ -97,12 +97,12 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
         raise ValueError(f"gcd({a}, {mod_n}) != 1: base shares a factor with the modulus")
     t = _exponent_width(mod_n)
     powers = _powers(a, mod_n, t)
-    draw_f = _inverse_cdf(np.bincount(powers) / (1 << t))
+    histogram = np.bincount(powers)
+    draw_f = _inverse_cdf(histogram / (1 << t))
     for _ in range(PERIOD_RETRY_CAP):
         f = int(draw_f(rng.uniform()))
         comb = np.zeros(1 << t, dtype=np.complex128)
-        comb[powers == f] = 1.0 / math.sqrt(1 << t)
-        comb /= np.linalg.norm(comb)
+        comb[powers == f] = 1.0 / math.sqrt(histogram[f])
         # Measuring every exponent qubit reads the basis index itself; the
         # collapsed state is not needed.
         y = _draw_index(inverse_qft(_owned(t, comb)).probabilities(), rng.uniform())

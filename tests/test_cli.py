@@ -393,6 +393,23 @@ class TestEnvironmentCap:
         finally:
             qregsim.set_max_qubits(old)
 
+    def test_indices_past_63_bits_refused_under_a_wider_cap(self, capsys, monkeypatch, tmp_path):
+        patterns = tmp_path / "wide.txt"
+        patterns.write_text("1" * 64 + "\n" + "0" * 64 + "\n")
+        old = qregsim.get_max_qubits()
+        monkeypatch.setenv("QREGSIM_MAX_QUBITS", "70")
+        try:
+            for argv in (
+                ("qam", "--patterns-file", str(patterns), "--query", "1" * 64, "--seed", "1"),
+                ("grover", "--qubits", "64", "--target", str(2**64 - 1), "--seed", "1"),
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 2
+                assert out == ""
+                assert "at most 63 qubits" in err
+        finally:
+            qregsim.set_max_qubits(old)
+
     def test_invalid_cap_value(self, capsys, monkeypatch):
         import qregsim
 

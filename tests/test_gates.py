@@ -35,7 +35,7 @@ from qregsim import (
     gates,
 )
 from qregsim.algorithms import inverse_qft, qft
-from qregsim.algorithms.qft import _forward_program, _inverse_program
+from qregsim.algorithms.qft import _program
 
 PHI_SAMPLES = (0.0, math.pi / 7, math.pi / 2, math.pi)
 
@@ -698,8 +698,8 @@ class TestDiagonalFusion:
 
     @pytest.mark.parametrize("t", [16, 20])
     def test_no_fused_op_holds_more_than_the_bound(self, t):
-        for build in (_forward_program.__wrapped__, _inverse_program.__wrapped__):
-            program = build(tuple(range(t)), t)
+        for sign in (1, -1):
+            program = _program.__wrapped__(tuple(range(t)), t, sign)
             scales = [op for op in program if isinstance(op, gates._Scale)]
             assert len(scales) > t // 2
             assert max(op.factors.size for op in scales) == 1 << gates._FUSED_QUBITS

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import amplify_reference
 from peak_memory import PeakMemory
 
-from qregsim import RandomSource
+from qregsim import RandomSource, get_max_qubits, set_max_qubits
 from qregsim.algorithms import (
     Oracle,
     amplified_state,
@@ -81,6 +81,23 @@ class TestOracleEnumeration:
     def test_oracle_from_marked_set_checks_the_width(self):
         with pytest.raises(ValueError, match="exceeds the configured cap"):
             Oracle._from_marked(40, {1})
+
+    def test_widths_past_63_refused_under_a_wider_cap(self):
+        """Indices are int64: a 64-qubit oracle fails before enumerating or
+        drawing.  No search runs here; its round loop is slow at this width."""
+        old = get_max_qubits()
+        set_max_qubits(64)
+        try:
+            calls, rng = [], RandomSource(0)
+            with pytest.raises(ValueError, match="at most 63 qubits"):
+                Oracle._from_marked(64, {(1 << 64) - 1})
+            with pytest.raises(ValueError, match="at most 63 qubits"):
+                grover_search(Oracle(64, calls.append), 1, rng)
+            assert calls == [] and rng.draw_count == 0
+            widest = Oracle._from_marked(63, {(1 << 63) - 1})
+        finally:
+            set_max_qubits(old)
+        assert widest.marked_indices().tolist() == [(1 << 63) - 1]
 
     def test_equality_and_hash_ignore_enumeration(self):
         def predicate(i):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from peak_memory import PeakMemory
 
-from qregsim import RandomSource
+from qregsim import RandomSource, get_max_qubits, set_max_qubits
 from qregsim.algorithms import qam_query, qam_store, uniform_superposition
 from qregsim.algorithms.grover import amplify, iteration_count
 from qregsim.algorithms.qam import PatternMemory
@@ -55,6 +55,20 @@ class TestStore:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             qam_store([])
+
+    def test_patterns_past_63_bits_refused_under_a_wider_cap(self):
+        """Codes are int64, so a 64-bit pattern fails in the store, not in a query."""
+        old = get_max_qubits()
+        set_max_qubits(64)
+        try:
+            with pytest.raises(ValueError, match="at most 63 qubits"):
+                qam_store(["1" * 64, "0" * 64])
+            memory = qam_store(["1" * 63, "0" * 63, "1" + "0" * 62, "0" * 62 + "1"])
+            result = qam_query(memory, "1" * 63, 0, RandomSource(1))
+        finally:
+            set_max_qubits(old)
+        assert result.pattern == "1" * 63
+        assert math.isclose(result.predicted_success, 1.0)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -12,7 +12,7 @@ from peak_memory import peak_over_state
 
 from qregsim import RandomSource, basis_state, from_amplitudes, gates, measure_qubits
 from qregsim.algorithms import inverse_qft, qft, qft_applications
-from qregsim.algorithms.qft import _forward_ladder, _inverse_ladder
+from qregsim.algorithms.qft import _ladder
 
 
 class TestForward:
@@ -35,9 +35,10 @@ class TestForward:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_definitional_matrix(self, n):
         reference = dft_matrix(n)
-        for j in range(1 << n):
-            column = qft(basis_state(n, j)).amplitudes
-            np.testing.assert_allclose(column, reference[:, j], atol=1e-10)
+        for transform, matrix in ((qft, reference), (inverse_qft, reference.conj().T)):
+            for j in range(1 << n):
+                column = transform(basis_state(n, j)).amplitudes
+                np.testing.assert_allclose(column, matrix[:, j], atol=1e-10)
 
 
 class TestInverse:
@@ -116,11 +117,11 @@ class TestLadderCache:
     ORDERS = [(0, 1, 2, 3, 4), (1, 3, 4), (2,)]
 
     @pytest.mark.parametrize("order", ORDERS)
-    def test_inverse_is_forward_reversed_with_negated_phases(self, order):
-        inverse = _inverse_ladder(order)
+    def test_inverse_is_forward_with_negated_phases(self, order):
+        inverse = _ladder(order, -1)
         forward = qft_applications(order)
         assert len(inverse) == len(forward)
-        for step, original in zip(inverse, reversed(forward)):
+        for step, original in zip(inverse, forward):
             assert step.targets == original.targets
             if original.gate.phi is None:
                 assert step.gate is original.gate
@@ -146,20 +147,14 @@ class TestLadderCache:
 
     @pytest.mark.parametrize("register", [None, [4, 1, 2], [3, 0]])
     def test_outputs_bit_identical_to_uncached_ladder(self, register):
-        """Bit for bit against the uncached ladder, fused afresh, and against
-        its steps applied one by one where no run fused; one multiply per
-        fused run rounds differently in the last bits, so to 1e-12 there."""
+        """Bit for bit against the uncached ladder of either sign, fused
+        afresh, and against its steps applied one by one where no run fused;
+        one multiply per fused run rounds differently in the last bits, so
+        to 1e-12 there."""
         state = from_amplitudes(5, random_state_vector(5, np.random.default_rng(64)))
         order = tuple(sorted(register)) if register else tuple(range(5))
-        forward = _forward_ladder.__wrapped__(order)
-        inverse = [
-            gates.GateApplication(
-                gates.controlled_phase(-s.gate.phi) if s.gate.phi is not None else s.gate,
-                s.targets,
-            )
-            for s in reversed(_forward_ladder.__wrapped__(order))
-        ]
-        for cached, steps in ((qft, forward), (inverse_qft, inverse)):
+        for cached, sign in ((qft, 1), (inverse_qft, -1)):
+            steps = _ladder.__wrapped__(order, sign)
             expected = state
             for step in steps:
                 expected = gates.apply(expected, step)

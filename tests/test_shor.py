@@ -142,7 +142,9 @@ class TestExponentRegisterOnly:
 
     @pytest.mark.parametrize("mod_n", [15, 21, 33, 35])
     def test_comb_is_the_reference_column(self, monkeypatch, mod_n):
-        """For every f, the prepared comb is the register's column at f, renormalized."""
+        """For every f, the prepared comb is the register's column at f, renormalized:
+        the column's support, exactly 1/sqrt(support size) on each entry of it,
+        and the column divided by its norm to within one ulp."""
         m = (mod_n - 1).bit_length()
         t = (mod_n * mod_n - 1).bit_length()
         drawn = {}
@@ -168,8 +170,12 @@ class TestExponentRegisterOnly:
                 drawn["f"] = f
                 with pytest.raises(_Captured) as captured:
                     shor_period(a, mod_n, RandomSource(0))
-                comb = captured.value.args[0]
-                np.testing.assert_array_equal(comb, columns[:, f] / np.linalg.norm(columns[:, f]))
+                comb, column = captured.value.args[0], columns[:, f]
+                support_f = column != 0
+                np.testing.assert_array_equal(comb != 0, support_f)
+                np.testing.assert_array_equal(comb[support_f], 1.0 / math.sqrt(support_f.sum()))
+                np.testing.assert_allclose(comb, column / np.linalg.norm(column),
+                                           rtol=np.finfo(float).eps, atol=0)
                 distribution = drawn["distribution"]
                 np.testing.assert_array_equal(np.flatnonzero(distribution), support)
                 np.testing.assert_allclose(distribution, function_marginal[: len(distribution)],
