@@ -60,14 +60,17 @@ def _minimal_order(candidate: int, a: int, mod_n: int) -> int:
 def _powers(a: int, mod_n: int, t: int) -> np.ndarray:
     """a**x mod mod_n for every exponent x < 2**t, filled by doubling blocks.
 
-    Each block is the one before it times a**k: exact in int64, since every
-    product stays below mod_n**2 <= 2**t.
+    Each block is the one before it times a**k, reduced in place.  Every
+    product stays below mod_n**2 <= 2**t, so int32 is exact for t < 32 and
+    int64 beyond.
     """
-    powers = np.empty(1 << t, dtype=np.int64)
+    powers = np.empty(1 << t, dtype=np.int32 if t < 32 else np.int64)
     powers[0] = 1
     k = 1
     while k < 1 << t:
-        powers[k : 2 * k] = powers[:k] * pow(a, k, mod_n) % mod_n
+        block = powers[k : 2 * k]
+        np.multiply(powers[:k], pow(a, k, mod_n), out=block)
+        np.remainder(block, mod_n, out=block)
         k *= 2
     return powers
 

@@ -9,19 +9,27 @@ operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
 output slice of the target axes sums input slices weighted by a matrix row.
 The kernel keeps that axis order but merges each run of adjacent non-target
 axes into one dimension, with the view's shape, transpose and chunk walk
-computed once per target tuple and register width.  A fusion pass turns a
-gate sequence into kernel ops: each run of adjacent diagonal steps that
-change amplitudes only where some shared qubits are 1, such as a qubit's
-fan of controlled phases in the Fourier ladder, becomes one in-place
-multiply of that sub-block by the product of the steps' entries.  Diagonal
-gates commute, so the result is the same to rounding, but one multiply
-rounds differently in the last bits than the steps one by one.  One driver
-runs every op sequence, from a single ``apply`` to a whole circuit or
-transform: it copies a caller's read-only amplitudes once and updates that
-one buffer in place for every op, with a scratch buffer of a few chunk rows
-for a gate and none for a fused run.  Every
-``Gate`` is checked unitary where it is made, so a gate sequence maps a
-unit-norm state to a unit-norm state and its output is not checked again.
+computed once per target tuple and register width.  The chunk walk covers
+the axes above the cache-sized inner block and, on a wide register, the
+run of at most four amplitudes below the lowest target, so that every pass
+loops along a long dimension.  Before a gate writes any row of a chunk, each
+input slice that a dense row reads is copied to scratch, or, when its
+column holds one entry up to sign, multiplied by that entry once; a row of
+such products is then one add or subtract per extra term, so an ``h`` is
+four passes.  A fusion pass turns a gate sequence into kernel ops: each run
+of adjacent diagonal steps that change amplitudes only where some shared
+qubits are 1, such as a qubit's fan of controlled phases in the Fourier
+ladder, becomes one in-place multiply of that sub-block by the product of
+the steps' entries.  Diagonal gates commute, so the result is the same to
+rounding, but one multiply rounds differently in the last bits than the
+steps one by one.  One driver runs every op sequence, from a single
+``apply`` to a whole circuit or transform: it copies a caller's read-only
+amplitudes once and updates that one buffer in place for every op, with a
+scratch buffer of a few chunk rows for a gate and none for a fused run.
+Every gate is unitary: ``Gate(...)`` and ``custom_gate`` check a matrix from
+outside where the gate is made, and the module constants and phase
+factories are unitary by construction.  So a gate sequence maps a unit-norm
+state to a unit-norm state and its output is not checked again.
 """
 
 from __future__ import annotations
@@ -46,27 +54,44 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 #: slice, so a one-qubit gate's chunk and scratch rows fit in a 2 MiB L2 cache.
 _CHUNK_QUBITS = 14
 
+#: A run of at most 2**2 amplitudes (64 B, one cache line) below a gate's
+#: lowest target is walked as chunks, when the rest of the slice spans at
+#: least 2**10 amplitudes; CHANGES.md has the sweep that set both.
+_SHORT_RUN_QUBITS = 2
+_LONG_SLICE_QUBITS = 10
+
 
 class _Plan(NamedTuple):
     """How ``_update`` applies one gate in place.
 
     ``rows`` lists each row the gate writes, with its nonzero (column,
     entry) terms; identity rows are skipped, and a unitary has no all-zero
-    row.  Indices are bit tuples with a trailing Ellipsis, so they
-    index views even when the gate spans every axis.  ``parked`` lists the
-    rows copied to scratch before any row is written: those another row
-    reads and those a multi-term row reads.  A row that only scales itself
-    is updated where it is.  ``reads`` lists every row a written row reads,
-    which a gate on every qubit parks instead, and ``products`` says whether
-    a multi-term row needs a scratch row for its scaled terms.  ``controls``
-    lists the target positions set in every written row: for a diagonal gate
-    (nothing parked), the qubits that must be 1 for it to change an amplitude.
+    row.  Indices are bit tuples with a trailing Ellipsis, so they index
+    views even when the gate spans every axis.
+
+    ``saves`` lists the columns copied to scratch, one row each, before any
+    row is written, as ``(column, u, first)``.  A column that multi-term
+    rows read, whose entries there are all ``u`` up to sign, and that is
+    the first term of every such row or of none, is saved as its product
+    with ``u``, in the operand order of a first term (``first``) or of a
+    later one.  Any other column that another row or a multi-term row reads
+    is saved as it is (``u`` None).  A row that only scales itself reads its
+    own column where it is; ``kept`` lists those columns, which a gate on
+    every qubit saves too.  ``ops`` lists each written row as ``(row,
+    first term, later terms)``, a term being ``(column, u, op)``: a product
+    or a unit entry (``u`` None) is added (``op`` ``np.add``) or subtracted
+    (``np.subtract``) as it is, and any other term is scaled by ``u`` first.
+    ``scaled`` says whether a later term needs a spare scratch row for its
+    scaled copy.  ``controls`` lists the target positions set in every
+    written row: for a diagonal gate (nothing saved), the qubits that must
+    be 1 for it to change an amplitude.
     """
 
     rows: tuple[tuple[tuple, tuple[tuple[tuple, complex], ...]], ...]
-    parked: tuple[tuple, ...]
-    reads: tuple[tuple, ...]
-    products: bool
+    ops: tuple[tuple[tuple, tuple, tuple[tuple, ...]], ...]
+    saves: tuple[tuple[tuple, complex | None, bool], ...]
+    kept: tuple[tuple[tuple, None, bool], ...]
+    scaled: bool
     controls: tuple[int, ...]
 
 
@@ -81,10 +106,12 @@ class Gate:
     The constructor checks that ``arity`` is a positive integer and the
     matrix is 2**arity square, finite and unitary (every entry of
     U^dagger U within UNITARY_TOLERANCE of the identity), and stores a
-    read-only copy, so the caller's array stays writable.  Every gate is
-    thus a checked unitary, and no gate sequence checks its output state
-    again.  Equality compares the name, ``phi`` and the matrix entries; the
-    hash uses the name and ``phi``.
+    read-only copy, so the caller's array stays writable.  The module
+    constants and the phase factories build unitaries by construction and
+    skip that check; ``custom_gate`` keeps it.  Every gate is thus unitary,
+    and no gate sequence checks its output state again.  Equality compares
+    the name, ``phi`` and the matrix entries; the hash uses the name and
+    ``phi``.
     """
 
     name: str
@@ -129,14 +156,36 @@ class Gate:
         written = [r for r, t in enumerate(terms) if t != ((r, 1),)]
         if not written:
             return None
-        reads = {c for r in written for c, _ in terms[r]}
+        # Per column, its (entry, is a first term) in each multi-term row.
+        uses: dict[int, list[tuple[complex, bool]]] = {}
+        for r in written:
+            if len(terms[r]) > 1:
+                for j, (c, u) in enumerate(terms[r]):
+                    uses.setdefault(c, []).append((u, j == 0))
+        products = {
+            c: seen[0] for c, seen in uses.items()
+            if all(u in (seen[0][0], -seen[0][0]) and first == seen[0][1] for u, first in seen)
+        }
         parked = {c for r in written for c, _ in terms[r] if c != r or len(terms[r]) > 1}
+        kept = {c for r in written for c, _ in terms[r]} - parked
         bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
+
+        def op(c, u):
+            if c in products:
+                return bits[c], None, np.add if u == products[c][0] else np.subtract
+            return bits[c], None if u == 1 else u, np.add
+
+        ops = []
+        for r in written:
+            first, *later = (op(c, u) for c, u in terms[r])
+            ops.append((bits[r], first, tuple(later)))
         return _Plan(
             rows=tuple((bits[r], tuple((bits[c], u) for c, u in terms[r])) for r in written),
-            parked=tuple(bits[c] for c in sorted(parked)),
-            reads=tuple(bits[c] for c in sorted(reads)),
-            products=any(len(terms[r]) > 1 for r in written),
+            ops=tuple(ops),
+            saves=tuple((bits[c], *products[c]) for c in sorted(products))
+            + tuple((bits[c], None, False) for c in sorted(parked - products.keys())),
+            kept=tuple((bits[c], None, False) for c in sorted(kept)),
+            scaled=any(u is not None for _, _, later in ops for _, u, _ in later),
             controls=tuple(j for j in range(self.arity) if all(bits[r][j] for r in written)),
         )
 
@@ -166,13 +215,30 @@ def _permutation_matrix(arity: int, mapping: dict[int, int]) -> np.ndarray:
     return m
 
 
-IDENTITY = Gate("id", 1, np.eye(2))
-NOT = Gate("x", 1, [[0, 1], [1, 0]])
-HADAMARD = Gate("h", 1, np.array([[1, 1], [1, -1]]) * _SQRT1_2)
-CNOT = Gate("cnot", 2, _permutation_matrix(2, {0b10: 0b11, 0b11: 0b10}))
-EXCHANGE = Gate("swap", 2, _permutation_matrix(2, {0b01: 0b10, 0b10: 0b01}))
-TOFFOLI = Gate("toffoli", 3, _permutation_matrix(3, {0b110: 0b111, 0b111: 0b110}))
-FREDKIN = Gate("fredkin", 3, _permutation_matrix(3, {0b101: 0b110, 0b110: 0b101}))
+def _unchecked(name: str, arity: int, matrix, phi: float | None = None) -> Gate:
+    """A gate whose matrix is unitary by construction, built without the check.
+
+    Used for the module constants and the phase factories, whose matrices
+    are permutations, a scaled Hadamard or ``diag(1, e^{i*phi})`` of a
+    checked finite angle.  ``Gate(...)`` and ``custom_gate`` take matrices
+    from outside and keep the check.  ``matrix`` is stored as it is when it
+    is already a complex array, so callers pass a fresh one.
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    matrix.flags.writeable = False
+    gate = object.__new__(Gate)
+    for field, value in (("name", name), ("arity", arity), ("matrix", matrix), ("phi", phi)):
+        object.__setattr__(gate, field, value)
+    return gate
+
+
+IDENTITY = _unchecked("id", 1, np.eye(2))
+NOT = _unchecked("x", 1, [[0, 1], [1, 0]])
+HADAMARD = _unchecked("h", 1, np.array([[1, 1], [1, -1]]) * _SQRT1_2)
+CNOT = _unchecked("cnot", 2, _permutation_matrix(2, {0b10: 0b11, 0b11: 0b10}))
+EXCHANGE = _unchecked("swap", 2, _permutation_matrix(2, {0b01: 0b10, 0b10: 0b01}))
+TOFFOLI = _unchecked("toffoli", 3, _permutation_matrix(3, {0b110: 0b111, 0b111: 0b110}))
+FREDKIN = _unchecked("fredkin", 3, _permutation_matrix(3, {0b101: 0b110, 0b110: 0b101}))
 
 
 def _finite_angle(phi: float) -> float:
@@ -182,16 +248,22 @@ def _finite_angle(phi: float) -> float:
     return phi
 
 
+def _phase_gate(name: str, arity: int, phi: float) -> Gate:
+    """The identity on ``arity`` qubits with e^{i*phi} as its last entry."""
+    phi = _finite_angle(phi)
+    matrix = np.eye(1 << arity, dtype=np.complex128)
+    matrix[-1, -1] = cmath.exp(1j * phi)
+    return _unchecked(name, arity, matrix, phi)
+
+
 def phase_shift(phi: float) -> Gate:
     """diag(1, e^{i*phi}): phase on the |1> component of one qubit."""
-    phi = _finite_angle(phi)
-    return Gate("phase", 1, np.diag([1.0, cmath.exp(1j * phi)]), phi=phi)
+    return _phase_gate("phase", 1, phi)
 
 
 def controlled_phase(phi: float) -> Gate:
     """Two-qubit diag(1, 1, 1, e^{i*phi}); symmetric in its qubits."""
-    phi = _finite_angle(phi)
-    return Gate("cphase", 2, np.diag([1.0, 1.0, 1.0, cmath.exp(1j * phi)]), phi=phi)
+    return _phase_gate("cphase", 2, phi)
 
 
 def custom_gate(arity: int, entries) -> Gate:
@@ -249,19 +321,31 @@ class _Layout(NamedTuple):
     scratch_shape: tuple[int, ...]
 
 
-# A layout holds one index tuple per chunk: about 170 KB for a one-qubit
-# gate at 26 qubits, so a full cache stays far below one such state.
+# A layout holds one index tuple per chunk: about 160 KiB for a one-qubit
+# gate at 26 qubits, 710 KiB when its lowest target is qubit 2, so a full
+# cache stays below a fifth of one such state.
 @lru_cache(maxsize=256)
-def _layout(targets: tuple[int, ...], num_qubits: int, chunk_qubits: int) -> _Layout:
+def _layout(
+    targets: tuple[int, ...], num_qubits: int, chunk_qubits: int, run_qubits: int, slice_qubits: int
+) -> _Layout:
     """The view of a ``num_qubits`` register for a gate on ``targets``.
 
-    Non-target axes above the lowest ``chunk_qubits`` of them are outer.
-    The chunk size is part of the key, so a changed ``_CHUNK_QUBITS`` gets
+    Non-target axes above the lowest ``chunk_qubits`` of them are outer.  A
+    short run, at most ``run_qubits`` qubits below the lowest target, is
+    outer too when at least ``slice_qubits`` other non-target qubits remain.
+    Each ufunc's inner loop then runs along a long strided dimension instead
+    of a run of a few amplitudes.  The run stays within the lowest
+    ``chunk_qubits``, so its 2 or 4 chunks together span what one chunk
+    spans without the rule, and each revisits cache lines the one before it
+    loaded.  Every constant the rule reads is part of the key, so a changed
+    ``_CHUNK_QUBITS``, ``_SHORT_RUN_QUBITS`` or ``_LONG_SLICE_QUBITS`` gets
     its own layout.
     """
     axes = [num_qubits - 1 - q for q in targets]
     rest = [a for a in range(num_qubits) if a not in axes]
-    outer = set(rest[: max(0, len(rest) - chunk_qubits)])
+    low = min(targets)  # the run below the lowest target is the last `low` axes
+    short = low if low <= run_qubits and len(rest) - low >= slice_qubits else 0
+    outer = set(rest[: max(0, len(rest) - chunk_qubits)] + rest[len(rest) - short :])
     shape: list[int] = []
     target_dims: dict[int, int] = {}
     outer_dims: list[int] = []
@@ -289,48 +373,61 @@ def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
 
     On the ``[2]*n`` view, each row slice of the target axes becomes the sum
     of the row slices its matrix row reads, weighted by the entries; unit
-    entries are slice copies.  Per chunk, the parked rows are copied to a
-    scratch buffer first, so every row is written from scratch or, when it
-    only scales itself, where it is.  The scratch holds the parked rows of
-    one chunk plus, for a multi-term row, one row for its scaled terms: at
-    most 2**k + 1 chunk rows for a k-qubit gate, allocated here and released
-    on return.  The view comes from ``_layout``: qubit ``q`` stays on axis
-    ``n-1-q``, but runs of adjacent non-target axes are merged, so each
-    slice has at most one dimension per run instead of one per qubit.
+    entries are slice copies.  Per chunk, each column in ``plan.saves`` gets
+    its scratch row, a copy or its product with its entry, before any row
+    is written.  A row then takes its first term as a copy, a negated
+    product or a scaled slice, or, when its first two terms need no
+    multiply, both in one add or subtract; each later term is one add or
+    subtract, after a multiply into the spare scratch row when it is scaled.
+    So an ``h`` is two multiplies, one add and one subtract per chunk.  The
+    scratch holds the saved rows of one chunk plus the spare row: at most 2**k + 1 chunk rows for a k-qubit gate, allocated here and
+    released on return.  The view comes from ``_layout``: qubit ``q`` stays
+    on axis ``n-1-q``, but runs of adjacent non-target axes are merged, so
+    each slice has at most one dimension per run instead of one per qubit.
     Non-target axes above the lowest ``_CHUNK_QUBITS`` are walked one chunk
     at a time, so the passes over one chunk's slices run in cache instead of
-    streaming the whole state once per pass.
+    streaming the whole state once per pass; so is a short run below the
+    lowest target, so that no pass loops over a run of a few amplitudes.
     """
-    layout = _layout(targets, amps.size.bit_length() - 1, _CHUNK_QUBITS)
+    layout = _layout(
+        targets, amps.size.bit_length() - 1, _CHUNK_QUBITS, _SHORT_RUN_QUBITS, _LONG_SLICE_QUBITS
+    )
     # A gate on every qubit has one-amplitude slices, which numpy scales in
-    # place with other rounding than out of place, so it parks every row it
-    # reads.
-    parked = plan.parked if layout.scratch_shape else plan.reads
+    # place with other rounding than out of place, so it saves every column
+    # it reads.
+    saves = plan.saves if layout.scratch_shape else plan.saves + plan.kept
     view = amps.reshape(layout.shape).transpose(layout.order)
-    saved, product = {}, None
-    if parked:
-        shape = (len(parked) + plan.products, *layout.scratch_shape)
-        scratch = np.empty(shape, dtype=np.complex128)
-        saved = {r: scratch[i, ...] for i, r in enumerate(parked)}
-        if plan.products:
-            product = scratch[-1, ...]
+    saved, spare = {}, None
+    if saves:
+        scratch = np.empty((len(saves) + plan.scaled, *layout.scratch_shape), dtype=np.complex128)
+        saved = {c: scratch[i, ...] for i, (c, _, _) in enumerate(saves)}
+        spare = scratch[-1, ...]
     for chunk in layout.chunks:
         block = view[chunk]
-        for r, row in saved.items():
-            row[...] = block[r]
-        for r, terms in plan.rows:
+        for c, u, first in saves:
+            if u is None:
+                saved[c][...] = block[c]
+            elif first:
+                np.multiply(block[c], u, out=saved[c])
+            else:
+                np.multiply(u, block[c], out=saved[c])
+        for r, (c, u, op), more in plan.ops:
             dst = block[r]
-            for j, (c, u) in enumerate(terms):
-                part = saved[c] if c in saved else block[c]
-                if j == 0:
-                    if u == 1:
-                        dst[...] = part
-                    else:
-                        np.multiply(part, u, out=dst)
-                elif u == 1:
-                    dst += part
-                else:
-                    dst += np.multiply(u, part, out=product)
+            part = saved[c] if c in saved else block[c]
+            if u is not None:
+                np.multiply(part, u, out=dst)
+            elif op is np.subtract:
+                np.negative(part, out=dst)
+            elif more and more[0][1] is None:
+                # The first two terms need no multiply: one pass combines them.
+                (c, _, op), more = more[0], more[1:]
+                op(part, saved[c], out=dst)
+            else:
+                dst[...] = part
+            # Every column a multi-term row reads is saved.
+            for c, u, op in more:
+                part = saved[c] if u is None else np.multiply(u, saved[c], out=spare)
+                op(dst, part, out=dst)
 
 
 #: Free qubits per fused diagonal run: each multiply holds at most 2**14
@@ -394,7 +491,7 @@ def _fuse(steps, num_qubits: int):
     """The kernel ops for ``steps`` on a ``num_qubits`` register, in order.
 
     Identity steps are dropped.  A run of two or more adjacent diagonal
-    steps (a gate whose plan parks no row) becomes one ``_Scale`` when some
+    steps (a gate whose plan saves no column) becomes one ``_Scale`` when some
     qubit must be 1 for every one of them to change an amplitude: diagonal
     gates commute, and each is the identity off the sub-block where those
     shared qubits are 1.  A run grows while it keeps a shared qubit and at
@@ -417,7 +514,7 @@ def _fuse(steps, num_qubits: int):
         plan = step.gate._plan
         if plan is None:
             continue
-        if plan.parked:
+        if plan.saves:
             if run:
                 yield from flush()
                 run = []

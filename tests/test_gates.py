@@ -66,6 +66,27 @@ def _random_monomial(arity, rng):
     return matrix
 
 
+def _signed_dense(arity, rng):
+    """H on every qubit with random row signs and column phases: every
+    column holds one entry up to sign, so the kernel saves each as a product."""
+    dim = 1 << arity
+    matrix = np.ones((1, 1))
+    for _ in range(arity):
+        matrix = np.kron(matrix, HADAMARD.matrix)
+    signs = rng.choice([-1.0, 1.0], size=(dim, 1))
+    phases = np.where(rng.random(dim) < 0.5, 1, np.exp(1j * rng.uniform(-math.pi, math.pi, dim)))
+    return signs * matrix * phases
+
+
+def _partly_shared():
+    """A two-qubit unitary with product columns, a column that is the first
+    term of two rows and a later term of two others (saved as it is), and a
+    row that needs the spare scratch row."""
+    middle = np.eye(4, dtype=np.complex128)
+    middle[1:3, 1:3] = HADAMARD.matrix
+    return custom_gate(2, np.kron(np.eye(2), HADAMARD.matrix) @ middle)
+
+
 class TestMatrices:
     def test_hadamard_on_zero(self):
         state = apply(basis_state(1, 0), GateApplication(HADAMARD, (0,)))
@@ -383,6 +404,26 @@ def _controlled_diagonal(arity, control, rng):
     return custom_gate(arity, np.diag(np.where(bits, np.exp(1j * rng.uniform(-3, 3, 1 << arity)), 1)))
 
 
+def _record_allocations(monkeypatch):
+    """Every array ``gates`` allocates with np.empty or np.empty_like from now on."""
+    allocated = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            allocated.append(np.empty(*args, **kwargs))
+            return allocated[-1]
+
+        def empty_like(self, *args, **kwargs):
+            allocated.append(np.empty_like(*args, **kwargs))
+            return allocated[-1]
+
+    monkeypatch.setattr(gates, "np", RecordingNumpy())
+    return allocated
+
+
 def _row_numbers(indices):
     """Plan row indices (bit tuples ending in Ellipsis) as matrix row numbers."""
     return [int("".join(str(b) for b in index[:-1]), 2) for index in indices]
@@ -391,11 +432,12 @@ def _row_numbers(indices):
 class TestSequenceKernel:
     """Circuit.final_state evolves one owned buffer in place."""
 
-    # Per kind: the rows its plan writes, and the rows it parks.
+    # Per kind: the rows its plan writes, the columns it saves as they are,
+    # and the columns it saves as products.
     ROWS = {
-        "x": ([0, 1], [0, 1]), "h": ([0, 1], [0, 1]), "phase": ([1], []),
-        "cnot": ([2, 3], [2, 3]), "cphase": ([3], []), "swap": ([1, 2], [1, 2]),
-        "toffoli": ([6, 7], [6, 7]), "fredkin": ([5, 6], [5, 6]),
+        "x": ([0, 1], [0, 1], []), "h": ([0, 1], [], [0, 1]), "phase": ([1], [], []),
+        "cnot": ([2, 3], [2, 3], []), "cphase": ([3], [], []), "swap": ([1, 2], [1, 2], []),
+        "toffoli": ([6, 7], [6, 7], []), "fredkin": ([5, 6], [5, 6], []),
     }
 
     @pytest.mark.parametrize(
@@ -404,15 +446,22 @@ class TestSequenceKernel:
          (controlled_phase(0.3), True), (EXCHANGE, True), (TOFFOLI, True), (FREDKIN, True)],
     )
     def test_strategy_per_kind(self, gate, skips_rows):
-        """Identity rows are skipped; a row another row reads, or a
-        multi-term row reads, is parked; a row that only scales itself is not."""
+        """Identity rows are skipped; a column another row reads is saved as
+        it is; an h saves both columns as products and writes its rows with
+        one add and one subtract; a row that only scales itself is kept."""
         plan = gate._plan
-        written, parked = self.ROWS[gate.name]
+        written, parked, products = self.ROWS[gate.name]
         assert (len(plan.rows) < 1 << gate.arity) is skips_rows
         assert _row_numbers(r for r, _ in plan.rows) == written
-        assert _row_numbers(plan.parked) == parked
-        assert _row_numbers(plan.reads) == written
-        assert plan.products is (gate is HADAMARD)
+        assert [r for r, _, _ in plan.ops] == [r for r, _ in plan.rows]
+        assert _row_numbers(c for c, u, _ in plan.saves if u is None) == parked
+        assert _row_numbers(c for c, u, _ in plan.saves if u is not None) == products
+        assert sorted(_row_numbers(c for c, _, _ in plan.saves + plan.kept)) == written
+        assert plan.scaled is False
+        if gate is HADAMARD:
+            assert [first for _, _, first in plan.saves] == [True, False]
+            assert [(first[1:], [t[1:] for t in more]) for _, first, more in plan.ops] == [
+                ((None, np.add), [(None, np.add)]), ((None, np.add), [(None, np.subtract)])]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -472,7 +521,7 @@ class TestSequenceKernel:
             gate = custom_gate(arity, _random_monomial(arity, rng))
             if gate._plan is None:
                 continue
-            seen.add(bool(gate._plan.parked))
+            seen.add(bool(gate._plan.saves))
             step = GateApplication(gate, tuple(int(q) for q in rng.permutation(n)[:arity]))
             got = gates._evolve(amps.copy(), n, [step]).amplitudes
             want = amps.copy()
@@ -486,34 +535,33 @@ class TestSequenceKernel:
     def test_result_owns_read_only_amplitudes_and_buffers_are_released(self, monkeypatch):
         """The kernel allocates only chunk-row scratch, never a second state."""
         monkeypatch.setattr(gates, "_CHUNK_QUBITS", 1)
-        allocated = []
-
-        class RecordingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def empty(self, *args, **kwargs):
-                allocated.append(np.empty(*args, **kwargs))
-                return allocated[-1]
-
-            def empty_like(self, *args, **kwargs):
-                allocated.append(np.empty_like(*args, **kwargs))
-                return allocated[-1]
-
-        monkeypatch.setattr(gates, "np", RecordingNumpy())
+        allocated = _record_allocations(monkeypatch)
         steps = [GateApplication(g, tuple(range(g.arity))[::-1]) for g in all_gate_kinds()]
         start = basis_state(6, 0)
         state = Circuit(6, tuple(steps + steps)).final_state()
         copied = apply(start, GateApplication(HADAMARD, (0,)))
         buffers = [weakref.ref(a) for a in allocated]
-        # An h parks two chunk rows and keeps one for its scaled terms.
-        assert allocated and max(a.size for a in allocated) <= 3 * 2**gates._CHUNK_QUBITS
+        # An h holds its two product rows; every other kind saves two rows.
+        assert allocated and max(a.size for a in allocated) <= 2 * 2**gates._CHUNK_QUBITS
         assert not start.amplitudes.flags.writeable and start.probability(0) == 1.0
         allocated.clear()
         gc.collect()
         for amps in (state.amplitudes, copied.amplitudes):
             assert amps.flags.owndata and not amps.flags.writeable
         assert all(ref() is None for ref in buffers)
+
+    @pytest.mark.parametrize("arity,make,rows", [
+        (5, _random_unitary, 2**5 + 1), (3, _signed_dense, 2**3), (2, lambda a, rng: _partly_shared().matrix, 5),
+    ], ids=["dense", "signed-dense", "partly-shared"])
+    def test_scratch_within_one_row_per_column_plus_one(self, monkeypatch, arity, make, rows):
+        """A dense gate saves each column it reads, as it is or as a product,
+        plus one spare row for scaled terms: at most 2**k + 1 chunk rows."""
+        monkeypatch.setattr(gates, "_CHUNK_QUBITS", 2)
+        allocated = _record_allocations(monkeypatch)
+        gate = custom_gate(arity, make(arity, np.random.default_rng(47)))
+        amps = random_state_vector(arity + 3, np.random.default_rng(48))
+        gates._update(gate._plan, tuple(range(arity + 3))[1:arity + 1], amps)
+        assert [a.size for a in allocated] == [rows * 2**gates._CHUNK_QUBITS]
 
 
 class TestKernelAgainstReference:
@@ -569,6 +617,72 @@ class TestKernelAgainstReference:
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
+    @staticmethod
+    def _kinds(rng):
+        kinds = all_gate_kinds(phi=0.9) + [_partly_shared()]
+        for arity in (1, 2, 3):
+            kinds += [custom_gate(arity, f(arity, rng))
+                      for f in (_random_unitary, _random_monomial, _signed_dense)]
+        return [g for g in kinds if g._plan is not None]
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_short_runs_walked_as_chunks_bit_identical(self, n):
+        """Every kind with its lowest target on qubits 0-3, first or last in
+        the target tuple, on registers wide enough that the run below a
+        lowest target on qubit 1 or 2 is walked as chunks."""
+        rng = np.random.default_rng(120 + n)
+        amps = random_state_vector(n, rng)
+        for gate in self._kinds(rng):
+            for low in range(4):
+                others = [int(q) for q in rng.choice(range(low + 1, n), gate.arity - 1, replace=False)]
+                for targets in {(*others, low), (low, *others)}:
+                    got, want = amps.copy(), amps.copy()
+                    gates._update(gate._plan, targets, got)
+                    update_reference(gate._plan, targets, want)
+                    assert got.tobytes() == want.tobytes(), (gate, targets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wide_registers_bit_identical(self, data):
+        n = data.draw(st.integers(10, 13), label="num_qubits")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        gate = data.draw(st.sampled_from(self._kinds(rng)), label="gate")
+        low = data.draw(st.integers(0, 3), label="lowest target")
+        others = data.draw(st.lists(st.integers(low + 1, n - 1), min_size=gate.arity - 1,
+                                    max_size=gate.arity - 1, unique=True), label="others")
+        targets = tuple(data.draw(st.permutations([low, *others]), label="targets"))
+        plan = gate._plan
+        assert len(plan.saves) + plan.scaled <= (1 << gate.arity) + 1
+        amps = random_state_vector(n, rng)
+        got, want = amps.copy(), amps.copy()
+        gates._update(plan, targets, got)
+        update_reference(plan, targets, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_exact_zeros_may_flip_sign_only(self, n):
+        """A row subtracts the product u*x where the reference adds (-u)*x;
+        the two differ only in the sign of an exact zero.  So on states full
+        of exact zeros every nonzero float is bit-identical and every zero
+        stays zero."""
+        rng = np.random.default_rng(130 + n)
+        kinds = self._kinds(rng)
+        for _ in range(20):
+            amps = np.zeros(1 << n, dtype=np.complex128)
+            amps[rng.integers(1 << n)] = 1.0
+            for _ in range(10):
+                gate = kinds[rng.integers(len(kinds))]
+                targets = tuple(int(q) for q in rng.permutation(n)[: gate.arity])
+                got, want = amps.copy(), amps.copy()
+                gates._update(gate._plan, targets, got)
+                update_reference(gate._plan, targets, want)
+                got, want = got.view(np.float64), want.view(np.float64)
+                nonzero = want != 0
+                assert got[nonzero].tobytes() == want[nonzero].tobytes(), (gate, targets)
+                assert not got[~nonzero].any(), (gate, targets)
+                amps = want.view(np.complex128)
+
+
 class TestLayout:
     @pytest.mark.parametrize("chunk_qubits,chunks", [(None, 1), (1, 2**4)])
     def test_chunk_count_follows_the_chunk_size(self, monkeypatch, chunk_qubits, chunks):
@@ -593,6 +707,45 @@ class TestLayout:
         inverse_qft(state, [0, 2, 3])
         assert gates._layout.cache_info().misses == misses
 
+    @pytest.mark.parametrize("low", [0, 1, 2, 3])
+    def test_short_run_becomes_a_chunk_dimension(self, low):
+        """The run below the lowest target is outer exactly when it holds 2
+        or 4 amplitudes and at least 2**10 amplitudes of the slice lie
+        above it.  It stays inside the chunk's span: the other outer axes
+        are as without the rule, and the run's chunks together hold one
+        chunk's rows."""
+        chunk = gates._CHUNK_QUBITS
+        for k in (1, 2, 3):
+            for n in range(low + k + 8, 27):
+                targets = (*range(n - 1, n - k, -1), low)
+                layout = gates._layout(targets, n, chunk, gates._SHORT_RUN_QUBITS, gates._LONG_SLICE_QUBITS)
+                plain = gates._layout(targets, n, chunk, 0, gates._LONG_SLICE_QUBITS)
+                short = low if 1 <= low <= 2 and n - k - low >= 10 else 0
+                # The run is the last dimension of the view, and outer.
+                assert (layout.order.index(len(layout.shape) - 1) < len(layout.chunks[0])) is bool(short)
+                assert len(layout.chunks) == len(plain.chunks) << short
+                assert math.prod(layout.scratch_shape) << short == math.prod(plain.scratch_shape)
+                assert len(plain.chunks) == 2 ** max(0, n - k - chunk)
+                if not short:
+                    assert layout == plain
+
+    def test_layout_key_covers_the_short_run_rule(self, monkeypatch):
+        used = []
+        layout = gates._layout
+
+        def recording_layout(*key):
+            used.append(layout(*key))
+            return used[-1]
+
+        monkeypatch.setattr(gates, "_layout", recording_layout)
+        amps = random_state_vector(12, np.random.default_rng(92))
+        for limit in (gates._SHORT_RUN_QUBITS, 0):
+            monkeypatch.setattr(gates, "_SHORT_RUN_QUBITS", limit)
+            gates._update(NOT._plan, (1,), amps)
+        monkeypatch.setattr(gates, "_LONG_SLICE_QUBITS", 11)
+        gates._update(NOT._plan, (1,), amps)
+        assert [len(u.chunks) for u in used] == [2, 1, 1]
+
     @pytest.mark.parametrize("chunk_qubits", [1, 2, 3, gates._CHUNK_QUBITS])
     def test_merged_dimensions_are_bounded(self, chunk_qubits):
         """Targets split the other axes into at most k+1 runs: 2k+1
@@ -600,12 +753,16 @@ class TestLayout:
         for n in range(1, 9):
             for k in range(1, min(n, 3) + 1):
                 for targets in itertools.permutations(range(n), k):
-                    layout = gates._layout(targets, n, chunk_qubits)
-                    outer = len(layout.chunks[0])
-                    assert math.prod(layout.shape) == 2**n
-                    assert len(layout.shape) - outer <= 2 * k + 1
-                    assert len(layout.shape) <= 2 * k + (2 if outer else 1)
-                    assert sorted(layout.order) == list(range(len(layout.shape)))
+                    # A short run below the lowest target is outer at these
+                    # widths only with a smaller long-slice bound.
+                    for slice_qubits in (gates._LONG_SLICE_QUBITS, 1):
+                        layout = gates._layout(targets, n, chunk_qubits,
+                                               gates._SHORT_RUN_QUBITS, slice_qubits)
+                        outer = len(layout.chunks[0])
+                        assert math.prod(layout.shape) == 2**n
+                        assert len(layout.shape) - outer <= 2 * k + 1
+                        assert len(layout.shape) <= 2 * k + (2 if outer else 1)
+                        assert sorted(layout.order) == list(range(len(layout.shape)))
 
 
 class TestDiagonalFusion:

@@ -78,7 +78,8 @@ class TestShorPeriod:
         for a in range(2, min(mod_n, 36)):
             if math.gcd(a, mod_n) == 1:
                 got = shor._powers(a, mod_n, t)
-                assert got.dtype == np.int64
+                # Every product stays below mod_n**2 <= 2**t < 2**31.
+                assert got.dtype == np.int32
                 np.testing.assert_array_equal(got, powers_reference(a, mod_n, t))
 
     def test_shared_factor_rejected(self):

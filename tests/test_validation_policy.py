@@ -1,10 +1,14 @@
-"""Where states are checked: once at the trust boundary, never on library-built states.
+"""Where states and gates are checked: once at the trust boundary, never
+on library-built ones.
 
 The checking constructor ``QuantumState(...)`` runs only on input from
 outside (``from_amplitudes`` or a direct call).  States the library builds
-from unit-norm pieces skip it, gate sequences included, since every ``Gate``
-is checked unitary where it is made.  These tests pin both halves: the call
-counts, and that every such state is in fact unit-norm.
+from unit-norm pieces skip it, gate sequences included, since every gate is
+unitary: ``Gate(...)`` and ``custom_gate`` check a matrix from outside where
+the gate is made, and the module constants and phase factories build theirs
+unitary by construction, unchecked.  These tests pin both halves for states
+and gates: the call counts, and that every such state is in fact unit-norm
+and every such gate passes the checked constructor.
 """
 
 import dataclasses
@@ -12,16 +16,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_gates import _random_monomial, _random_unitary, all_gate_kinds
 
 from qregsim import (
     CNOT,
+    EXCHANGE,
+    FREDKIN,
     HADAMARD,
+    IDENTITY,
     NORM_TOLERANCE,
     NOT,
+    TOFFOLI,
     Circuit,
     Gate,
     GateApplication,
@@ -29,6 +37,7 @@ from qregsim import (
     RandomSource,
     apply,
     basis_state,
+    controlled_phase,
     custom_gate,
     from_amplitudes,
     get_max_qubits,
@@ -38,6 +47,7 @@ from qregsim import (
     measure_all,
     measure_qubits,
     parse_circuit,
+    phase_shift,
     run_circuit,
     sample_counts,
     set_max_qubits,
@@ -62,6 +72,7 @@ from qregsim.algorithms import (
     uniform_superposition,
 )
 from qregsim.algorithms.grover import amplify
+from qregsim.algorithms.qft import _ladder, _program
 from qregsim.measurement import _project
 
 TRIPLE_PATTERNS = ("00000", "10000", "11111")
@@ -147,6 +158,66 @@ class TestValidationCounts:
         monkeypatch.setattr(shor, "inverse_qft", counting)
         assert validations(lambda: shor_period(a, mod_n, RandomSource(seed))) == 0
         assert transforms
+
+
+@pytest.fixture
+def gate_checks(monkeypatch):
+    """``gate_checks(call)`` runs ``call`` and returns its ``Gate`` unitarity checks."""
+    check = Gate.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self.name)
+        check(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    return count
+
+
+def _uncached(call):
+    """``call`` with the Fourier ladder and program caches emptied first."""
+    _ladder.cache_clear()
+    _program.cache_clear()
+    return call()
+
+
+#: Unitarity checks per entry point that makes gates: one for a matrix from
+#: outside, none for a gate the library builds.
+GATE_CHECKS = {
+    "Gate": (lambda: Gate("g", 1, np.eye(2)), 1),
+    "custom_gate": (lambda: custom_gate(2, np.eye(4)), 1),
+    "phase_shift": (lambda: phase_shift(0.3), 0),
+    "controlled_phase": (lambda: controlled_phase(0.3), 0),
+    "parse_circuit": (lambda: parse_circuit("qubits 2\nphase 0 0.3\ncphase 0 1 0.2\nh 1\n"), 0),
+    "qft_applications": (lambda: _uncached(lambda: qft_applications([4, 1, 2])), 0),
+    "qft": (lambda: _uncached(lambda: qft(_STATE, [2, 0])), 0),
+    "inverse_qft": (lambda: _uncached(lambda: inverse_qft(_STATE)), 0),
+    "shor_period": (lambda: _uncached(lambda: shor_period(7, 15, RandomSource(1))), 0),
+}
+
+
+class TestGateChecks:
+    @pytest.mark.parametrize("name", GATE_CHECKS)
+    def test_only_matrices_from_outside_are_checked(self, gate_checks, name):
+        call, checks = GATE_CHECKS[name]
+        assert gate_checks(call) == checks
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e6)
+    @example(-1e6)
+    def test_library_gates_pass_the_checked_constructor(self, phi):
+        for gate in (phase_shift(phi), controlled_phase(phi), IDENTITY, NOT, HADAMARD,
+                     CNOT, EXCHANGE, TOFFOLI, FREDKIN):
+            checked = Gate(gate.name, gate.arity, gate.matrix, phi=gate.phi)
+            assert checked == gate and checked.matrix.tobytes() == gate.matrix.tobytes()
+            assert gate.matrix.dtype == np.complex128 and not gate.matrix.flags.writeable
 
 
 class TestLibraryBuiltStatesAreUnitNorm:
