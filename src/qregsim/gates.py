@@ -64,33 +64,30 @@ _LONG_SLICE_QUBITS = 10
 class _Plan(NamedTuple):
     """How ``_update`` applies one gate in place.
 
-    ``rows`` lists each row the gate writes, with its nonzero (column,
-    entry) terms; identity rows are skipped, and a unitary has no all-zero
-    row.  Indices are bit tuples with a trailing Ellipsis, so they index
-    views even when the gate spans every axis.
+    ``ops`` lists each row the gate writes as ``(row, first term, later
+    terms)``; identity rows are skipped, and a unitary has no all-zero row.
+    A term is ``(column, u, op)``: a product or a unit entry (``u`` None) is
+    added (``op`` ``np.add``) or subtracted (``np.subtract``) as it is, and
+    any other term is scaled by ``u`` first.  Indices are bit tuples with a
+    trailing Ellipsis, so they index views even when the gate spans every
+    axis.
 
     ``saves`` lists the columns copied to scratch, one row each, before any
-    row is written, as ``(column, u, first)``.  A column that multi-term
-    rows read, whose entries there are all ``u`` up to sign, and that is
-    the first term of every such row or of none, is saved as its product
-    with ``u``, in the operand order of a first term (``first``) or of a
-    later one.  Any other column that another row or a multi-term row reads
-    is saved as it is (``u`` None).  A row that only scales itself reads its
-    own column where it is; ``kept`` lists those columns, which a gate on
-    every qubit saves too.  ``ops`` lists each written row as ``(row,
-    first term, later terms)``, a term being ``(column, u, op)``: a product
-    or a unit entry (``u`` None) is added (``op`` ``np.add``) or subtracted
-    (``np.subtract``) as it is, and any other term is scaled by ``u`` first.
-    ``scaled`` says whether a later term needs a spare scratch row for its
-    scaled copy.  ``controls`` lists the target positions set in every
-    written row: for a diagonal gate (nothing saved), the qubits that must
-    be 1 for it to change an amplitude.
+    row is written, as ``(column, u, first)``.  A column that a multi-term
+    row reads, whose entry in every written row that reads it is ``u`` up to
+    sign, and that is the first term of every such row or of none, is saved
+    as its product with ``u``, in the operand order of a first term
+    (``first``) or of a later one.  Any other column that another row or a
+    multi-term row reads is saved as it is (``u`` None).  A row that only
+    scales itself reads its own column where it is.  ``scaled`` says
+    whether a later term needs a spare scratch row for its scaled copy.
+    ``controls`` lists the target positions set in every written row: for a
+    diagonal gate (nothing saved), the qubits that must be 1 for it to
+    change an amplitude.
     """
 
-    rows: tuple[tuple[tuple, tuple[tuple[tuple, complex], ...]], ...]
     ops: tuple[tuple[tuple, tuple, tuple[tuple, ...]], ...]
     saves: tuple[tuple[tuple, complex | None, bool], ...]
-    kept: tuple[tuple[tuple, None, bool], ...]
     scaled: bool
     controls: tuple[int, ...]
 
@@ -156,18 +153,18 @@ class Gate:
         written = [r for r, t in enumerate(terms) if t != ((r, 1),)]
         if not written:
             return None
-        # Per column, its (entry, is a first term) in each multi-term row.
+        # Per column, its (entry, is a first term) in each written row.
         uses: dict[int, list[tuple[complex, bool]]] = {}
         for r in written:
-            if len(terms[r]) > 1:
-                for j, (c, u) in enumerate(terms[r]):
-                    uses.setdefault(c, []).append((u, j == 0))
-        products = {
-            c: seen[0] for c, seen in uses.items()
-            if all(u in (seen[0][0], -seen[0][0]) and first == seen[0][1] for u, first in seen)
-        }
+            for j, (c, u) in enumerate(terms[r]):
+                uses.setdefault(c, []).append((u, j == 0))
+        shared = {c for r in written if len(terms[r]) > 1 for c, _ in terms[r]}
+        products = {}
+        for c in shared:
+            (u0, first0), *rest = uses[c]
+            if all(u in (u0, -u0) and first == first0 for u, first in rest):
+                products[c] = (u0, first0)
         parked = {c for r in written for c, _ in terms[r] if c != r or len(terms[r]) > 1}
-        kept = {c for r in written for c, _ in terms[r]} - parked
         bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
 
         def op(c, u):
@@ -180,11 +177,9 @@ class Gate:
             first, *later = (op(c, u) for c, u in terms[r])
             ops.append((bits[r], first, tuple(later)))
         return _Plan(
-            rows=tuple((bits[r], tuple((bits[c], u) for c, u in terms[r])) for r in written),
             ops=tuple(ops),
             saves=tuple((bits[c], *products[c]) for c in sorted(products))
             + tuple((bits[c], None, False) for c in sorted(parked - products.keys())),
-            kept=tuple((bits[c], None, False) for c in sorted(kept)),
             scaled=any(u is not None for _, _, later in ops for _, u, _ in later),
             controls=tuple(j for j in range(self.arity) if all(bits[r][j] for r in written)),
         )
@@ -310,20 +305,18 @@ class _Layout(NamedTuple):
     with each run of adjacent non-target axes on the same side of the chunk
     boundary merged into one dimension; a target axis stays one dimension of
     size 2.  ``order`` transposes it to the outer (chunk) dimensions, the
-    target axes in gate order, then the inner dimensions.  ``chunks`` indexes
-    every chunk of the outer dimensions, and ``scratch_shape`` is the shape
-    of one row slice of one chunk.
+    target axes in gate order, then the inner dimensions.  ``outer`` holds
+    one range per outer dimension, whose product indexes every chunk, and
+    ``scratch_shape`` is the shape of one row slice of one chunk.  A layout
+    holds a few short tuples, whatever the chunk count.
     """
 
     shape: tuple[int, ...]
     order: tuple[int, ...]
-    chunks: tuple[tuple[int, ...], ...]
+    outer: tuple[range, ...]
     scratch_shape: tuple[int, ...]
 
 
-# A layout holds one index tuple per chunk: about 160 KiB for a one-qubit
-# gate at 26 qubits, 710 KiB when its lowest target is qubit 2, so a full
-# cache stays below a fifth of one such state.
 @lru_cache(maxsize=256)
 def _layout(
     targets: tuple[int, ...], num_qubits: int, chunk_qubits: int, run_qubits: int, slice_qubits: int
@@ -363,13 +356,13 @@ def _layout(
             (outer_dims if run else inner_dims).append(len(shape))
             shape.append(2)
     order = outer_dims + [target_dims[a] for a in axes] + inner_dims
-    chunks = tuple(itertools.product(*(range(shape[d]) for d in outer_dims)))
+    ranges = tuple(range(shape[d]) for d in outer_dims)
     scratch_shape = tuple(shape[d] for d in inner_dims)
-    return _Layout(tuple(shape), tuple(order), chunks, scratch_shape)
+    return _Layout(tuple(shape), tuple(order), ranges, scratch_shape)
 
 
-def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
-    """Apply one gate plan to ``amps`` in place, unvalidated.
+def _update(gate: Gate, targets, amps: np.ndarray) -> None:
+    """Apply ``gate``'s plan to ``amps`` in place, unvalidated.
 
     On the ``[2]*n`` view, each row slice of the target axes becomes the sum
     of the row slices its matrix row reads, weighted by the entries; unit
@@ -380,8 +373,9 @@ def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
     multiply, both in one add or subtract; each later term is one add or
     subtract, after a multiply into the spare scratch row when it is scaled.
     So an ``h`` is two multiplies, one add and one subtract per chunk.  The
-    scratch holds the saved rows of one chunk plus the spare row: at most 2**k + 1 chunk rows for a k-qubit gate, allocated here and
-    released on return.  The view comes from ``_layout``: qubit ``q`` stays
+    scratch holds the saved rows of one chunk plus the spare row: at most
+    2**k + 1 chunk rows for a k-qubit gate, allocated here and released on
+    return.  The view comes from ``_layout``: qubit ``q`` stays
     on axis ``n-1-q``, but runs of adjacent non-target axes are merged, so
     each slice has at most one dimension per run instead of one per qubit.
     Non-target axes above the lowest ``_CHUNK_QUBITS`` are walked one chunk
@@ -389,20 +383,25 @@ def _update(plan: _Plan, targets, amps: np.ndarray) -> None:
     streaming the whole state once per pass; so is a short run below the
     lowest target, so that no pass loops over a run of a few amplitudes.
     """
+    plan = gate._plan
     layout = _layout(
         targets, amps.size.bit_length() - 1, _CHUNK_QUBITS, _SHORT_RUN_QUBITS, _LONG_SLICE_QUBITS
     )
-    # A gate on every qubit has one-amplitude slices, which numpy scales in
-    # place with other rounding than out of place, so it saves every column
-    # it reads.
-    saves = plan.saves if layout.scratch_shape else plan.saves + plan.kept
+    saves = plan.saves
+    if not layout.scratch_shape:
+        # A gate on every qubit has one-amplitude slices, which numpy scales
+        # in place with other rounding than out of place, so it also saves
+        # the columns of the rows that only scale themselves: the first
+        # terms not saved yet.
+        done = {c for c, _, _ in saves}
+        saves += tuple((c, None, False) for _, (c, _, _), _ in plan.ops if c not in done)
     view = amps.reshape(layout.shape).transpose(layout.order)
     saved, spare = {}, None
     if saves:
         scratch = np.empty((len(saves) + plan.scaled, *layout.scratch_shape), dtype=np.complex128)
         saved = {c: scratch[i, ...] for i, (c, _, _) in enumerate(saves)}
         spare = scratch[-1, ...]
-    for chunk in layout.chunks:
+    for chunk in itertools.product(*layout.outer):
         block = view[chunk]
         for c, u, first in saves:
             if u is None:
@@ -548,7 +547,7 @@ def _evolve(amplitudes: np.ndarray, num_qubits: int, ops) -> QuantumState:
         if isinstance(op, _Scale):
             amplitudes.reshape(op.shape)[op.index] *= op.factors
         else:
-            _update(op.gate._plan, op.targets, amplitudes)
+            _update(op.gate, op.targets, amplitudes)
     return _owned(num_qubits, amplitudes)
 
 

@@ -244,13 +244,16 @@ def classical_walk_reference(steps: int) -> np.ndarray:
     return probabilities
 
 
-def update_reference(plan, targets, amps: np.ndarray) -> None:
+def update_reference(gate, targets, amps: np.ndarray) -> None:
     """``gates._update`` on the unmerged ``[2]*n`` view, one axis per qubit.
 
-    Same plan rows, chunk boundary (``gates._CHUNK_QUBITS``, read per call)
-    and per-row ufunc sequence, but out of place: every term is read from a
-    copy of the whole input, so nothing is parked.  The axis lists, the
-    transposes and the chunk walk are rebuilt on every call.
+    Reads its terms from the gate's matrix, not from its plan: each row is
+    its first nonzero entry times its column (a copy for a unit entry),
+    plus each later entry times its column, in that operand order.  Same
+    chunk boundary (``gates._CHUNK_QUBITS``, read per call), but out of
+    place: every term is read from a copy of the whole input, so nothing is
+    parked, and every row is written, identity rows as copies.  The axis
+    lists, the transposes and the chunk walk are rebuilt on every call.
     """
     source = amps.copy()
     n = amps.size.bit_length() - 1
@@ -261,9 +264,12 @@ def update_reference(plan, targets, amps: np.ndarray) -> None:
     src = source.reshape((2,) * n).transpose(order)
     view = amps.reshape((2,) * n).transpose(order)
     tmp = np.empty((2,) * (len(rest) - len(outer)), dtype=np.complex128)
+    # Bit tuples with a trailing Ellipsis index views even of 0-d slices.
+    bits = [(*b, ...) for b in itertools.product((0, 1), repeat=len(targets))]
+    rows = [[(bits[c], u) for c, u in enumerate(row) if u] for row in gate.matrix.tolist()]
     for chunk in itertools.product((0, 1), repeat=len(outer)):
         chunk_src, chunk_out = src[chunk], view[chunk]
-        for r, terms in plan.rows:
+        for r, terms in zip(bits, rows):
             dst = chunk_out[r]
             for j, (c, u) in enumerate(terms):
                 part = chunk_src[c]

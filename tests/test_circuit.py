@@ -431,10 +431,10 @@ class TestMemory:
     probability array (half a state) and the shot batch."""
 
     N = 18
-    # At most three chunk rows of scratch (an h parks two rows and keeps one
-    # for its scaled terms) and numpy's 256 KiB of ufunc iteration buffers,
-    # whatever the register width: 0.25 of an 18-qubit state.
-    SCRATCH = ((3 << gates._CHUNK_QUBITS) * 16 + (256 << 10)) / (16 << N)
+    # At most two chunk rows of scratch (every library gate saves two
+    # columns, an h as products) and numpy's 256 KiB of ufunc iteration
+    # buffers, whatever the register width: 0.1875 of an 18-qubit state.
+    SCRATCH = ((2 << gates._CHUNK_QUBITS) * 16 + (256 << 10)) / (16 << N)
     BOUND = 1.0 + SCRATCH + 0.01
     # The state and its probabilities, then the batch of 2^16 shots being
     # counted: about 36 B a shot, 48 B allowed.

@@ -424,6 +424,11 @@ def _record_allocations(monkeypatch):
     return allocated
 
 
+def _chunk_count(layout):
+    """How many chunks ``_update`` walks for ``layout``."""
+    return math.prod(map(len, layout.outer))
+
+
 def _row_numbers(indices):
     """Plan row indices (bit tuples ending in Ellipsis) as matrix row numbers."""
     return [int("".join(str(b) for b in index[:-1]), 2) for index in indices]
@@ -448,15 +453,17 @@ class TestSequenceKernel:
     def test_strategy_per_kind(self, gate, skips_rows):
         """Identity rows are skipped; a column another row reads is saved as
         it is; an h saves both columns as products and writes its rows with
-        one add and one subtract; a row that only scales itself is kept."""
+        one add and one subtract; a row that only scales itself reads its
+        column in place."""
         plan = gate._plan
         written, parked, products = self.ROWS[gate.name]
-        assert (len(plan.rows) < 1 << gate.arity) is skips_rows
-        assert _row_numbers(r for r, _ in plan.rows) == written
-        assert [r for r, _, _ in plan.ops] == [r for r, _ in plan.rows]
+        assert (len(plan.ops) < 1 << gate.arity) is skips_rows
+        assert _row_numbers(r for r, _, _ in plan.ops) == written
         assert _row_numbers(c for c, u, _ in plan.saves if u is None) == parked
         assert _row_numbers(c for c, u, _ in plan.saves if u is not None) == products
-        assert sorted(_row_numbers(c for c, _, _ in plan.saves + plan.kept)) == written
+        saved = [c for c, _, _ in plan.saves]
+        in_place = [c for _, (c, _, _), _ in plan.ops if c not in saved]
+        assert sorted(_row_numbers(saved + in_place)) == written
         assert plan.scaled is False
         if gate is HADAMARD:
             assert [first for _, _, first in plan.saves] == [True, False]
@@ -525,7 +532,7 @@ class TestSequenceKernel:
             step = GateApplication(gate, tuple(int(q) for q in rng.permutation(n)[:arity]))
             got = gates._evolve(amps.copy(), n, [step]).amplitudes
             want = amps.copy()
-            update_reference(gate._plan, step.targets, want)
+            update_reference(gate, step.targets, want)
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == apply(start, step).amplitudes.tobytes()
             np.testing.assert_allclose(got, kron_embed(matrix_of(gate), step.targets, n) @ amps,
@@ -560,7 +567,7 @@ class TestSequenceKernel:
         allocated = _record_allocations(monkeypatch)
         gate = custom_gate(arity, make(arity, np.random.default_rng(47)))
         amps = random_state_vector(arity + 3, np.random.default_rng(48))
-        gates._update(gate._plan, tuple(range(arity + 3))[1:arity + 1], amps)
+        gates._update(gate, tuple(range(arity + 3))[1:arity + 1], amps)
         assert [a.size for a in allocated] == [rows * 2**gates._CHUNK_QUBITS]
 
 
@@ -578,13 +585,12 @@ class TestKernelAgainstReference:
         for n in range(1, 6):
             amps = random_state_vector(n, rng)
             for gate in kinds:
-                plan = gate._plan
-                if plan is None:
+                if gate._plan is None:
                     continue
                 for targets in itertools.permutations(range(n), gate.arity):
                     got, want = amps.copy(), amps.copy()
-                    gates._update(plan, targets, got)
-                    update_reference(plan, targets, want)
+                    gates._update(gate, targets, got)
+                    update_reference(gate, targets, want)
                     assert got.tobytes() == want.tobytes(), (n, targets)
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
@@ -601,8 +607,8 @@ class TestKernelAgainstReference:
                 for _ in range(8):
                     amps = random_state_vector(arity, rng)
                     got, want = amps.copy(), amps.copy()
-                    gates._update(gate._plan, targets, got)
-                    update_reference(gate._plan, targets, want)
+                    gates._update(gate, targets, got)
+                    update_reference(gate, targets, want)
                     assert got.tobytes() == want.tobytes(), (gate, targets)
 
     @pytest.mark.parametrize("n", range(3, 13))
@@ -637,8 +643,8 @@ class TestKernelAgainstReference:
                 others = [int(q) for q in rng.choice(range(low + 1, n), gate.arity - 1, replace=False)]
                 for targets in {(*others, low), (low, *others)}:
                     got, want = amps.copy(), amps.copy()
-                    gates._update(gate._plan, targets, got)
-                    update_reference(gate._plan, targets, want)
+                    gates._update(gate, targets, got)
+                    update_reference(gate, targets, want)
                     assert got.tobytes() == want.tobytes(), (gate, targets)
 
     @settings(max_examples=60, deadline=None)
@@ -655,8 +661,50 @@ class TestKernelAgainstReference:
         assert len(plan.saves) + plan.scaled <= (1 << gate.arity) + 1
         amps = random_state_vector(n, rng)
         got, want = amps.copy(), amps.copy()
-        gates._update(plan, targets, got)
-        update_reference(plan, targets, want)
+        gates._update(gate, targets, got)
+        update_reference(gate, targets, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_scale_only_row_beside_a_dense_one_bit_identical(self, n):
+        """Column 0 of this near-unitary gate is 1j in its scale-only row and
+        1e-13 in the dense one, so it is saved as it is, not as a product."""
+        gate = custom_gate(1, [[1j, 0], [1e-13, 1]])
+        assert ((0, ...), None, False) in gate._plan.saves
+        amps = random_state_vector(n, np.random.default_rng(140 + n))
+        for q in range(n):
+            got, want = amps.copy(), amps.copy()
+            gates._update(gate, (q,), got)
+            update_reference(gate, (q,), want)
+            assert got.tobytes() == want.tobytes(), q
+            assert abs(np.linalg.norm(got) - 1) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_near_unitary_gates_bit_identical(self, data):
+        """Gates with float noise in their entries, from a product of
+        matrices or from tiny added entries, inside the unitarity tolerance:
+        a column whose entries differ anywhere is not saved as a product."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        arity = data.draw(st.integers(1, 3), label="arity")
+        base = data.draw(st.sampled_from([_signed_dense, _random_monomial, _random_unitary]))
+        matrix = base(arity, rng)
+        if data.draw(st.booleans(), label="product of matrices"):
+            matrix = matrix @ (matrix.conj().T @ matrix)
+        dim = 1 << arity
+        for _ in range(data.draw(st.integers(0, 3), label="added entries")):
+            size = data.draw(st.sampled_from([1e-17, 1e-15, 1e-13]), label="size")
+            row, col = rng.integers(dim, size=2)
+            matrix[row, col] += size * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        gate = custom_gate(arity, matrix)
+        if gate._plan is None:
+            return
+        n = data.draw(st.integers(arity, 12), label="num_qubits")
+        targets = tuple(data.draw(st.permutations(range(n)), label="targets")[:arity])
+        amps = random_state_vector(n, rng)
+        got, want = amps.copy(), amps.copy()
+        gates._update(gate, targets, got)
+        update_reference(gate, targets, want)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [4, 12])
@@ -674,8 +722,8 @@ class TestKernelAgainstReference:
                 gate = kinds[rng.integers(len(kinds))]
                 targets = tuple(int(q) for q in rng.permutation(n)[: gate.arity])
                 got, want = amps.copy(), amps.copy()
-                gates._update(gate._plan, targets, got)
-                update_reference(gate._plan, targets, want)
+                gates._update(gate, targets, got)
+                update_reference(gate, targets, want)
                 got, want = got.view(np.float64), want.view(np.float64)
                 nonzero = want != 0
                 assert got[nonzero].tobytes() == want[nonzero].tobytes(), (gate, targets)
@@ -697,8 +745,8 @@ class TestLayout:
 
         monkeypatch.setattr(gates, "_layout", recording_layout)
         amps = random_state_vector(6, np.random.default_rng(90))
-        gates._update(NOT._plan, (2,), amps)
-        assert [len(u.chunks) for u in used] == [chunks]
+        gates._update(NOT, (2,), amps)
+        assert [_chunk_count(u) for u in used] == [chunks]
 
     def test_repeated_transform_adds_no_layout(self):
         state = from_amplitudes(5, random_state_vector(5, np.random.default_rng(91)))
@@ -722,10 +770,12 @@ class TestLayout:
                 plain = gates._layout(targets, n, chunk, 0, gates._LONG_SLICE_QUBITS)
                 short = low if 1 <= low <= 2 and n - k - low >= 10 else 0
                 # The run is the last dimension of the view, and outer.
-                assert (layout.order.index(len(layout.shape) - 1) < len(layout.chunks[0])) is bool(short)
-                assert len(layout.chunks) == len(plain.chunks) << short
+                assert (layout.order.index(len(layout.shape) - 1) < len(layout.outer)) is bool(short)
+                assert _chunk_count(layout) == _chunk_count(plain) << short
                 assert math.prod(layout.scratch_shape) << short == math.prod(plain.scratch_shape)
-                assert len(plain.chunks) == 2 ** max(0, n - k - chunk)
+                assert _chunk_count(plain) == 2 ** max(0, n - k - chunk)
+                # A layout holds dimension sizes, not one index per chunk.
+                assert len(layout.outer) <= 2 and len(layout.shape) <= 2 * k + 2
                 if not short:
                     assert layout == plain
 
@@ -741,10 +791,10 @@ class TestLayout:
         amps = random_state_vector(12, np.random.default_rng(92))
         for limit in (gates._SHORT_RUN_QUBITS, 0):
             monkeypatch.setattr(gates, "_SHORT_RUN_QUBITS", limit)
-            gates._update(NOT._plan, (1,), amps)
+            gates._update(NOT, (1,), amps)
         monkeypatch.setattr(gates, "_LONG_SLICE_QUBITS", 11)
-        gates._update(NOT._plan, (1,), amps)
-        assert [len(u.chunks) for u in used] == [2, 1, 1]
+        gates._update(NOT, (1,), amps)
+        assert [_chunk_count(u) for u in used] == [2, 1, 1]
 
     @pytest.mark.parametrize("chunk_qubits", [1, 2, 3, gates._CHUNK_QUBITS])
     def test_merged_dimensions_are_bounded(self, chunk_qubits):
@@ -758,7 +808,7 @@ class TestLayout:
                     for slice_qubits in (gates._LONG_SLICE_QUBITS, 1):
                         layout = gates._layout(targets, n, chunk_qubits,
                                                gates._SHORT_RUN_QUBITS, slice_qubits)
-                        outer = len(layout.chunks[0])
+                        outer = len(layout.outer)
                         assert math.prod(layout.shape) == 2**n
                         assert len(layout.shape) - outer <= 2 * k + 1
                         assert len(layout.shape) <= 2 * k + (2 if outer else 1)

@@ -169,13 +169,13 @@ class TestLadderCache:
                     assert got.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
     def test_inverse_at_16_qubits_peaks_at_one_state_and_chunk_scratch(self):
-        """Once the caches are filled, the state copy, three chunk rows of an
+        """Once the caches are filled, the state copy, two chunk rows of an
         h's scratch and numpy's 256 KiB of ufunc buffers: the fused runs
         multiply in place and hold only their cached factors."""
         n = 16
         state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(66)))
         inverse_qft(state)
-        scratch = (3 << gates._CHUNK_QUBITS) * 16 + (256 << 10)
+        scratch = (2 << gates._CHUNK_QUBITS) * 16 + (256 << 10)
         assert peak_over_state(lambda: inverse_qft(state), n) <= 1.0 + scratch / (16 << n) + 0.01
 
     def test_public_ladder_is_a_fresh_list(self):
