@@ -40,6 +40,8 @@ _CASES = [
     ("shor-15", ["shor", "15", "--seed", "1"], {}),
     ("shor-21", ["shor", "21", "--seed", "2"], {}),
     ("shor-143", ["shor", "143", "--seed", "1"], {}),
+    ("shor-1003", ["shor", "1003", "--seed", "1"], {}),
+    ("shor-2047", ["shor", "2047", "--seed", "1"], {}),
     ("walk", ["walk", "--steps", "10"], {}),
     ("qam", ["qam", "--patterns-file", "{tmp}/patterns.txt", "--query", "11110",
              "--radius", "1", "--seed", "5"], {"patterns.txt": PATTERNS}),
