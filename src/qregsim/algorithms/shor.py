@@ -9,16 +9,21 @@ qubits in the uniform comb over those x, so each sample draws f from that
 histogram and prepares the comb directly as amplitudes.  The transformed
 comb's exponent y is drawn from its distribution with one uniform, as
 measuring all t qubits would, without building the collapsed state.
+Within one call the comb of f is x_f + j*r for j below its size, so its
+transformed distribution depends on the size alone, and the size takes at
+most two values: a call runs one transform per comb size it draws, and
+later samples of that size reuse its CDF.
 A classical wrapper reduces factoring to order finding in the usual way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
-from ..measurement import RandomSource, _draw_index, _inverse_cdf
+from ..measurement import RandomSource, _inverse_cdf
 from ..measurement import measure_qubits  # noqa: F401  (bound by perfbench/tracing.py)
 from ..state import _is_int, _owned, get_max_qubits
 from .qft import inverse_qft
@@ -86,11 +91,28 @@ def _exponent_width(mod_n: int) -> int:
     return t
 
 
+def _exponent_cdf(
+    powers: np.ndarray, f: int, size: int, t: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Inverse CDF of the transformed comb of ``f``, which has ``size`` exponents.
+
+    Neither the comb nor its transform outlives the call, so a kept CDF is
+    the only array that stays beside the next size's transform.
+    """
+    comb = np.zeros(1 << t, dtype=np.complex128)
+    comb[powers == f] = 1.0 / math.sqrt(size)
+    spectrum = inverse_qft(_owned(t, comb))
+    del comb  # not held beside the probabilities
+    return _inverse_cdf(spectrum.probabilities())
+
+
 def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
     """The multiplicative order of ``a`` modulo ``mod_n``.
 
     Requires 2 <= a < mod_n with gcd(a, mod_n) = 1 and the
     t = bit_length(mod_n**2 - 1) exponent qubits within the qubit cap.
+    Each sample draws f and then y, one uniform each; the first sample of
+    each comb size runs the inverse transform, so a call runs at most two.
     Raises RetryLimitExceeded if no sample yields the period in the budget.
     """
     if not (_is_int(a) and _is_int(mod_n) and 2 <= a < mod_n):
@@ -102,13 +124,17 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
     powers = _powers(a, mod_n, t)
     histogram = np.bincount(powers)
     draw_f = _inverse_cdf(histogram / (1 << t))
+    # By the shift theorem a transformed comb's distribution depends on its
+    # size alone, so each size's CDF is kept for the rest of the call.
+    draw_y = {}
     for _ in range(PERIOD_RETRY_CAP):
         f = int(draw_f(rng.uniform()))
-        comb = np.zeros(1 << t, dtype=np.complex128)
-        comb[powers == f] = 1.0 / math.sqrt(histogram[f])
+        size = int(histogram[f])
+        if size not in draw_y:
+            draw_y[size] = _exponent_cdf(powers, f, size, t)
         # Measuring every exponent qubit reads the basis index itself; the
         # collapsed state is not needed.
-        y = _draw_index(inverse_qft(_owned(t, comb)).probabilities(), rng.uniform())
+        y = int(draw_y[size](rng.uniform()))
         for r in _convergent_denominators(y, 1 << t, mod_n):
             if pow(a, r, mod_n) == 1:
                 return _minimal_order(r, a, mod_n)

@@ -5,11 +5,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peak_memory import PeakMemory
 from oracles import brute_force_order, entangled_register, powers_reference, shor_period_reference
 
 from qregsim import (
+    QuantumState,
     RandomSource,
     get_max_qubits,
     is_product,
@@ -17,7 +20,7 @@ from qregsim import (
     measure_qubits,
     set_max_qubits,
 )
-from qregsim.algorithms import shor_factor, shor_period
+from qregsim.algorithms import inverse_qft, shor_factor, shor_period
 from qregsim.algorithms import shor
 from qregsim.algorithms.shor import _convergent_denominators
 
@@ -195,6 +198,18 @@ class TestExponentRegisterOnly:
         # 8 x the 2**15-amplitude state.
         assert traced.peak < 8 * (1 << 15) * 16
 
+    def test_peak_memory_at_t20_with_two_sizes(self, monkeypatch):
+        # The warm-up call also shows that this call transforms both sizes,
+        # so the first size's kept CDF is held beside the second transform.
+        transformed = _transformed_sizes(monkeypatch)
+        assert shor_period(2, 1003, RandomSource(0)) == 232
+        assert len(transformed) == 2
+        monkeypatch.undo()
+        with PeakMemory() as traced:
+            assert shor_period(2, 1003, RandomSource(0)) == 232
+        # 3 x the 2**20-amplitude state.
+        assert traced.peak < 3 * (1 << 20) * 16
+
     def test_cap_counts_the_exponent_qubits_alone(self):
         old = get_max_qubits()
         try:
@@ -205,6 +220,111 @@ class TestExponentRegisterOnly:
                 shor_factor(15, RandomSource(3))
         finally:
             set_max_qubits(old)
+
+
+def _transformed_sizes(monkeypatch) -> list[int]:
+    """The support size of every comb ``shor_period`` hands to ``inverse_qft``."""
+    transformed = []
+    original = shor.inverse_qft
+
+    def counting(state):
+        transformed.append(int(np.count_nonzero(state.amplitudes)))
+        return original(state)
+
+    monkeypatch.setattr(shor, "inverse_qft", counting)
+    return transformed
+
+
+def _sizes_drawn(a, mod_n, seed, samples):
+    """The support size of the comb of every f a call with ``seed`` draws.
+
+    Replayed from the seed's uniforms: each sample draws f, then y, so f
+    comes from every other uniform, through the function register's CDF.
+    """
+    t = (mod_n * mod_n - 1).bit_length()
+    histogram = np.bincount(powers_reference(a, mod_n, t))
+    cdf = np.cumsum(histogram) / (1 << t)
+    rng = RandomSource(seed)
+    uniforms = [rng.uniform() for _ in range(2 * samples)]
+    return [int(histogram[np.searchsorted(cdf, u, side="right")]) for u in uniforms[::2]]
+
+
+#: Odd composites up to 95, prime powers included: any coprime base has an order.
+ODD_COMPOSITES = [n for n in range(9, 96, 2) if any(n % p == 0 for p in range(3, math.isqrt(n) + 1))]
+
+
+class TestOneTransformPerSize:
+    """A call transforms the comb of the first f of each size it draws, and no other."""
+
+    @pytest.mark.parametrize("mod_n", [15, 21, 33, 35])
+    def test_each_drawn_size_transformed_once(self, monkeypatch, mod_n):
+        transformed = _transformed_sizes(monkeypatch)
+        measured = _recorded_exponents(monkeypatch)
+        for a in range(2, mod_n):
+            if math.gcd(a, mod_n) != 1:
+                continue
+            for seed in range(10):
+                transformed.clear()
+                measured.clear()
+                assert shor_period(a, mod_n, RandomSource(seed)) == brute_force_order(a, mod_n)
+                drawn = _sizes_drawn(a, mod_n, seed, len(measured))
+                assert transformed == list(dict.fromkeys(drawn))
+                assert len(transformed) <= 2
+
+    def test_two_sizes_transformed_twice_only_when_both_are_drawn(self, monkeypatch):
+        # 2 has order 6 mod 21 and t = 9: 512 = 6 * 85 + 2, so two values of
+        # f have 86 exponents each and the other four 85.
+        transformed = _transformed_sizes(monkeypatch)
+        measured = _recorded_exponents(monkeypatch)
+        seen = set()
+        for seed in range(30):
+            transformed.clear()
+            measured.clear()
+            assert shor_period(2, 21, RandomSource(seed)) == 6
+            drawn = _sizes_drawn(2, 21, seed, len(measured))
+            assert set(drawn) <= {85, 86}
+            assert transformed == list(dict.fromkeys(drawn))
+            seen.add((len(drawn), len(transformed)))
+        # Retries that reuse one size's transform, and calls that draw both.
+        assert any(samples > 1 and count == 1 for samples, count in seen)
+        assert any(count == 2 for _, count in seen)
+
+    def test_factoring_143_transforms_at_most_twice_per_period(self, monkeypatch):
+        transformed = _transformed_sizes(monkeypatch)
+        counts = []
+        original = shor.shor_period
+
+        def counting(*args):
+            transformed.clear()
+            order = original(*args)
+            counts.append(len(transformed))
+            return order
+
+        monkeypatch.setattr(shor, "shor_period", counting)
+        assert shor_factor(143, RandomSource(1)) == (11, 13)
+        assert counts and max(counts) <= 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_size_combs_transform_alike(self, data):
+        mod_n = data.draw(st.sampled_from(ODD_COMPOSITES), label="mod_n")
+        a = data.draw(st.sampled_from([a for a in range(2, mod_n) if math.gcd(a, mod_n) == 1]),
+                      label="a")
+        t = (mod_n * mod_n - 1).bit_length()
+        powers = powers_reference(a, mod_n, t)
+        histogram = np.bincount(powers)
+        sizes = sorted(set(histogram[histogram > 0].tolist()))
+        assert len(sizes) <= 2
+        size = data.draw(st.sampled_from(sizes), label="size")
+        same_size = np.flatnonzero(histogram == size).tolist()
+        f, g = data.draw(st.lists(st.sampled_from(same_size), min_size=2, max_size=2), label="f, g")
+
+        def transformed(f):
+            comb = np.zeros(1 << t, dtype=np.complex128)
+            comb[powers == f] = 1.0 / math.sqrt(size)
+            return inverse_qft(QuantumState(t, comb)).probabilities()
+
+        np.testing.assert_allclose(transformed(f), transformed(g), rtol=0, atol=1e-15)
 
 
 class TestShorFactor:
