@@ -25,7 +25,7 @@ import numpy as np
 
 from ..measurement import RandomSource, _inverse_cdf
 from ..measurement import measure_qubits  # noqa: F401  (bound by perfbench/tracing.py)
-from ..state import _is_int, _owned, get_max_qubits
+from ..state import _donated, _is_int, get_max_qubits
 from .qft import inverse_qft
 
 #: Measurement retries per base before giving up on order finding.
@@ -63,21 +63,26 @@ def _minimal_order(candidate: int, a: int, mod_n: int) -> int:
 
 
 def _powers(a: int, mod_n: int, t: int) -> np.ndarray:
-    """a**x mod mod_n for every exponent x < 2**t, filled by doubling blocks.
+    """a**x mod mod_n for every exponent x < 2**t, as one outer product.
 
-    Each block is the one before it times a**k, reduced in place.  Every
-    product stays below mod_n**2 <= 2**t, so int32 is exact for t < 32 and
-    int64 beyond.
+    With h = t // 2, the exponent x = i * 2**h + j splits a**x into
+    a**(i * 2**h) * a**j: the table is the outer product of those two short
+    columns of residues, reduced in place.  Every product stays below
+    mod_n**2 <= 2**t, so int32 is exact for t < 32 and int64 beyond, and
+    the table is the only array of its size.
     """
-    powers = np.empty(1 << t, dtype=np.int32 if t < 32 else np.int64)
-    powers[0] = 1
-    k = 1
-    while k < 1 << t:
-        block = powers[k : 2 * k]
-        np.multiply(powers[:k], pow(a, k, mod_n), out=block)
-        np.remainder(block, mod_n, out=block)
-        k *= 2
-    return powers
+    half = t // 2
+    dtype = np.int32 if t < 32 else np.int64
+
+    def residues(base: int, count: int) -> np.ndarray:
+        column = [1]
+        for _ in range(count - 1):
+            column.append(column[-1] * base % mod_n)
+        return np.array(column, dtype=dtype)
+
+    high = residues(pow(a, 1 << half, mod_n), 1 << (t - half))
+    powers = np.multiply.outer(high, residues(a, 1 << half)).reshape(-1)
+    return np.remainder(powers, mod_n, out=powers)
 
 
 def _exponent_width(mod_n: int) -> int:
@@ -96,14 +101,13 @@ def _exponent_cdf(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Inverse CDF of the transformed comb of ``f``, which has ``size`` exponents.
 
-    Neither the comb nor its transform outlives the call, so a kept CDF is
-    the only array that stays beside the next size's transform.
+    The transform takes the comb over and runs in place in it, with no
+    copy.  Neither outlives the call, so a kept CDF is the only array that
+    stays beside the next size's transform.
     """
     comb = np.zeros(1 << t, dtype=np.complex128)
     comb[powers == f] = 1.0 / math.sqrt(size)
-    spectrum = inverse_qft(_owned(t, comb))
-    del comb  # not held beside the probabilities
-    return _inverse_cdf(spectrum.probabilities())
+    return _inverse_cdf(inverse_qft(_donated(t, comb)).probabilities())
 
 
 def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:

@@ -15,17 +15,21 @@ run of at most four amplitudes below the lowest target, so that every pass
 loops along a long dimension.  Before a gate writes any row of a chunk, each
 input slice that a dense row reads is copied to scratch, or, when its
 column holds one entry up to sign, multiplied by that entry once; a row of
-such products is then one add or subtract per extra term, so an ``h`` is
-four passes.  A fusion pass turns a gate sequence into kernel ops: each run
-of adjacent diagonal steps that change amplitudes only where some shared
-qubits are 1, such as a qubit's fan of controlled phases in the Fourier
-ladder, becomes one in-place multiply of that sub-block by the product of
-the steps' entries.  Diagonal gates commute, so the result is the same to
-rounding, but one multiply rounds differently in the last bits than the
-steps one by one.  One driver runs every op sequence, from a single
-``apply`` to a whole circuit or transform: it copies a caller's read-only
-amplitudes once and updates that one buffer in place for every op, with a
-scratch buffer of a few chunk rows for a gate and none for a fused run.
+such products is then one add or subtract per extra term.  Each gate's plan
+is compiled once into the flat list of ufunc calls it makes on a chunk, and
+when every column is such a product with one entry, the list starts with
+one multiply of the whole chunk: an ``h`` is one multiply of the chunk, one
+add and one subtract, run from the compiled call list.  A fusion pass
+turns a gate sequence into kernel ops: each run of adjacent diagonal steps
+that change amplitudes only where some shared qubits are 1, such as a
+qubit's fan of controlled phases in the Fourier ladder, becomes one
+in-place multiply of that sub-block by the product of the steps' entries.
+Diagonal gates commute, so the result is the same to rounding, but one
+multiply rounds differently in the last bits than the steps one by one.
+One driver runs every op sequence, from a single ``apply`` to a whole
+circuit or transform: it copies a caller's read-only amplitudes once and
+updates that one buffer in place for every op, with a scratch buffer of a
+few chunk rows for a gate and none for a fused run.
 Every gate is unitary: ``Gate(...)`` and ``custom_gate`` check a matrix from
 outside where the gate is made, and the module constants and phase
 factories are unitary by construction.  So a gate sequence maps a unit-norm
@@ -37,8 +41,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +65,22 @@ _CHUNK_QUBITS = 14
 #: least 2**10 amplitudes; CHANGES.md has the sweep that set both.
 _SHORT_RUN_QUBITS = 2
 _LONG_SLICE_QUBITS = 10
+
+
+class _Calls(NamedTuple):
+    """The flat list of ufunc calls that ``_update`` makes on one chunk.
+
+    Each call is ``(func, get)`` and runs as ``func(*get(slots))``, with its
+    output last.  The slots are the ``rows`` scratch rows, then, when
+    ``whole``, the scratch viewed as one chunk block, then ``entries`` as
+    read-only 0-d arrays, then the chunk's block indexed by each of ``keys``.
+    """
+
+    rows: int
+    whole: bool
+    entries: tuple[np.ndarray, ...]
+    keys: tuple[tuple, ...]
+    calls: tuple[tuple[Callable, Callable], ...]
 
 
 class _Plan(NamedTuple):
@@ -90,6 +112,96 @@ class _Plan(NamedTuple):
     saves: tuple[tuple[tuple, complex | None, bool], ...]
     scaled: bool
     controls: tuple[int, ...]
+
+
+def _copy(src: np.ndarray, dst: np.ndarray) -> None:
+    dst[...] = src  # a slice copy is faster than a ufunc call
+
+
+def _compile(ops, saves, scaled: bool, arity: int) -> _Calls:
+    """The calls that apply ``ops`` to one chunk after saving ``saves``.
+
+    Each saved column gets its scratch row, a copy or its product with its
+    entry, before any row is written.  When every column is saved as a
+    product with one entry ``u``, as for an ``h``, one multiply of the
+    whole block fills the scratch instead, provided ``u`` is real or every
+    product has the same operand order: only then do ``x·u`` and ``u·x``
+    round alike, up to the sign of an exact zero.  A row then takes its
+    first term as a copy, a negated product or a scaled slice, or, when its
+    first two terms need no multiply, both in one add or subtract; each
+    later term is one add or subtract, after a multiply into the spare
+    (last) scratch row when it is scaled.
+    """
+    rows = len(saves) + scaled
+    entries: list[np.ndarray] = []
+    keys: list[tuple] = []
+    calls = []
+
+    def call(func, *operands):
+        calls.append((func, operands))
+
+    def entry(u):
+        value = np.array(u)
+        value.flags.writeable = False  # shared by every call of the gate
+        entries.append(value)
+        return "entry", len(entries) - 1
+
+    def block(key):
+        if key not in keys:
+            keys.append(key)
+        return "block", keys.index(key)
+
+    saved = {c: ("scratch", i) for i, (c, _, _) in enumerate(saves)}
+    u0 = saves[0][1] if saves else None
+    whole = (
+        u0 is not None
+        and rows == 1 << arity
+        and all(u == u0 for _, u, _ in saves)
+        and (u0.imag == 0 or len({first for _, _, first in saves}) == 1)
+    )
+    if whole:
+        operands = (block((...,)), entry(u0)) if saves[0][2] else (entry(u0), block((...,)))
+        call(np.multiply, *operands, ("all scratch", 0))
+    else:
+        for c, u, first in saves:
+            if u is None:
+                call(_copy, block(c), saved[c])
+            elif first:
+                call(np.multiply, block(c), entry(u), saved[c])
+            else:
+                call(np.multiply, entry(u), block(c), saved[c])
+    for r, (c, u, op), more in ops:
+        dst = block(r)
+        part = saved.get(c) or block(c)
+        if u is not None:
+            call(np.multiply, part, entry(u), dst)
+        elif op is np.subtract:
+            call(np.negative, part, dst)
+        elif more and more[0][1] is None:
+            # The first two terms need no multiply: one pass combines them.
+            (c, _, op), *more = more
+            call(op, part, saved[c], dst)
+        else:
+            call(_copy, part, dst)
+        # Every column a multi-term row reads is saved.
+        for c, u, op in more:
+            if u is None:
+                call(op, dst, saved[c], dst)
+            else:
+                call(np.multiply, entry(u), saved[c], ("scratch", rows - 1))
+                call(op, dst, ("scratch", rows - 1), dst)
+    base = {"scratch": 0, "all scratch": rows, "entry": rows + whole}
+    base["block"] = base["entry"] + len(entries)
+    return _Calls(
+        rows=rows,
+        whole=whole,
+        entries=tuple(entries),
+        keys=tuple(keys),
+        calls=tuple(
+            (func, itemgetter(*(base[kind] + i for kind, i in operands)))
+            for func, operands in calls
+        ),
+    )
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -183,6 +295,28 @@ class Gate:
             scaled=any(u is not None for _, _, later in ops for _, u, _ in later),
             controls=tuple(j for j in range(self.arity) if all(bits[r][j] for r in written)),
         )
+
+    @cached_property
+    def _calls(self) -> _Calls:
+        """The plan compiled for slices of several amplitudes, on first use.
+
+        A fused diagonal gate is never compiled.
+        """
+        plan = self._plan
+        return _compile(plan.ops, plan.saves, plan.scaled, self.arity)
+
+    @cached_property
+    def _point_calls(self) -> _Calls:
+        """The plan compiled for a gate on every qubit, on first use.
+
+        Its slices hold one amplitude each, which numpy scales in place with
+        other rounding than out of place, so it also saves the columns of
+        the rows that only scale themselves: the first terms not saved yet.
+        """
+        plan = self._plan
+        done = {c for c, _, _ in plan.saves}
+        extra = tuple((c, None, False) for _, (c, _, _), _ in plan.ops if c not in done)
+        return _compile(plan.ops, plan.saves + extra, plan.scaled, self.arity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -366,67 +500,36 @@ def _update(gate: Gate, targets, amps: np.ndarray) -> None:
 
     On the ``[2]*n`` view, each row slice of the target axes becomes the sum
     of the row slices its matrix row reads, weighted by the entries; unit
-    entries are slice copies.  Per chunk, each column in ``plan.saves`` gets
-    its scratch row, a copy or its product with its entry, before any row
-    is written.  A row then takes its first term as a copy, a negated
-    product or a scaled slice, or, when its first two terms need no
-    multiply, both in one add or subtract; each later term is one add or
-    subtract, after a multiply into the spare scratch row when it is scaled.
-    So an ``h`` is two multiplies, one add and one subtract per chunk.  The
-    scratch holds the saved rows of one chunk plus the spare row: at most
-    2**k + 1 chunk rows for a k-qubit gate, allocated here and released on
-    return.  The view comes from ``_layout``: qubit ``q`` stays
-    on axis ``n-1-q``, but runs of adjacent non-target axes are merged, so
-    each slice has at most one dimension per run instead of one per qubit.
-    Non-target axes above the lowest ``_CHUNK_QUBITS`` are walked one chunk
-    at a time, so the passes over one chunk's slices run in cache instead of
-    streaming the whole state once per pass; so is a short run below the
-    lowest target, so that no pass loops over a run of a few amplitudes.
+    entries are slice copies.  Each chunk runs the plan's compiled call
+    list (``_compile``), so an ``h`` is one multiply of the chunk, one add
+    and one subtract.  The scratch holds the saved rows of one chunk plus
+    the spare row: at most 2**k + 1 chunk rows for a k-qubit gate,
+    allocated here and released on return.  The view comes from
+    ``_layout``: qubit ``q`` stays on axis ``n-1-q``, but runs of adjacent
+    non-target axes are merged, so each slice has at most one dimension per
+    run instead of one per qubit.  Non-target axes above the lowest
+    ``_CHUNK_QUBITS`` are walked one chunk at a time, so the passes over one
+    chunk's slices run in cache instead of streaming the whole state once
+    per pass; so is a short run below the lowest target, so that no pass
+    loops over a run of a few amplitudes.
     """
-    plan = gate._plan
     layout = _layout(
         targets, amps.size.bit_length() - 1, _CHUNK_QUBITS, _SHORT_RUN_QUBITS, _LONG_SLICE_QUBITS
     )
-    saves = plan.saves
-    if not layout.scratch_shape:
-        # A gate on every qubit has one-amplitude slices, which numpy scales
-        # in place with other rounding than out of place, so it also saves
-        # the columns of the rows that only scale themselves: the first
-        # terms not saved yet.
-        done = {c for c, _, _ in saves}
-        saves += tuple((c, None, False) for _, (c, _, _), _ in plan.ops if c not in done)
+    rows, whole, entries, keys, calls = gate._calls if layout.scratch_shape else gate._point_calls
     view = amps.reshape(layout.shape).transpose(layout.order)
-    saved, spare = {}, None
-    if saves:
-        scratch = np.empty((len(saves) + plan.scaled, *layout.scratch_shape), dtype=np.complex128)
-        saved = {c: scratch[i, ...] for i, (c, _, _) in enumerate(saves)}
-        spare = scratch[-1, ...]
+    fixed = []
+    if rows:
+        scratch = np.empty((rows, *layout.scratch_shape), dtype=np.complex128)
+        fixed = [scratch[i, ...] for i in range(rows)]
+        if whole:
+            fixed.append(scratch.reshape(view.shape[len(layout.outer) :]))
+    fixed += entries
     for chunk in itertools.product(*layout.outer):
         block = view[chunk]
-        for c, u, first in saves:
-            if u is None:
-                saved[c][...] = block[c]
-            elif first:
-                np.multiply(block[c], u, out=saved[c])
-            else:
-                np.multiply(u, block[c], out=saved[c])
-        for r, (c, u, op), more in plan.ops:
-            dst = block[r]
-            part = saved[c] if c in saved else block[c]
-            if u is not None:
-                np.multiply(part, u, out=dst)
-            elif op is np.subtract:
-                np.negative(part, out=dst)
-            elif more and more[0][1] is None:
-                # The first two terms need no multiply: one pass combines them.
-                (c, _, op), more = more[0], more[1:]
-                op(part, saved[c], out=dst)
-            else:
-                dst[...] = part
-            # Every column a multi-term row reads is saved.
-            for c, u, op in more:
-                part = saved[c] if u is None else np.multiply(u, saved[c], out=spare)
-                op(dst, part, out=dst)
+        slots = fixed + [block[key] for key in keys]
+        for func, get in calls:
+            func(*get(slots))
 
 
 #: Free qubits per fused diagonal run: each multiply holds at most 2**14

@@ -140,13 +140,23 @@ class QuantumState:
         return f"QuantumState(num_qubits={self._num_qubits})"
 
 
-def _owned(num_qubits: int, amps: np.ndarray) -> QuantumState:
-    """Wrap a unit-norm buffer the caller hands over, unchecked and read-only."""
-    amps.flags.writeable = False
+def _donated(num_qubits: int, amps: np.ndarray) -> QuantumState:
+    """Wrap a unit-norm buffer, unchecked and writable, for a callee to take over.
+
+    The gate driver updates a writable buffer in place instead of copying
+    it, so the caller must use neither ``amps`` nor the state again, and
+    reads only the callee's result.
+    """
     state = QuantumState.__new__(QuantumState)
     state._num_qubits = num_qubits
     state._amplitudes = amps
     return state
+
+
+def _owned(num_qubits: int, amps: np.ndarray) -> QuantumState:
+    """Wrap a unit-norm buffer the caller hands over, unchecked and read-only."""
+    amps.flags.writeable = False
+    return _donated(num_qubits, amps)
 
 
 def basis_state(num_qubits: int, index: int) -> QuantumState:

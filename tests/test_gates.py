@@ -1,5 +1,6 @@
 """Tests for gate matrices, validation, and the tensor-view kernel."""
 
+import cmath
 import gc
 import itertools
 import math
@@ -465,10 +466,15 @@ class TestSequenceKernel:
         in_place = [c for _, (c, _, _), _ in plan.ops if c not in saved]
         assert sorted(_row_numbers(saved + in_place)) == written
         assert plan.scaled is False
+        # Only an h saves every column as a product with one real entry, so
+        # one multiply of the chunk fills both its product rows.
+        compiled = gate._calls
+        assert compiled.whole is (gate is HADAMARD)
         if gate is HADAMARD:
             assert [first for _, _, first in plan.saves] == [True, False]
             assert [(first[1:], [t[1:] for t in more]) for _, first, more in plan.ops] == [
                 ((None, np.add), [(None, np.add)]), ((None, np.add), [(None, np.subtract)])]
+            assert [func for func, _ in compiled.calls] == [np.multiply, np.add, np.subtract]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -664,6 +670,32 @@ class TestKernelAgainstReference:
         gates._update(gate, targets, got)
         update_reference(gate, targets, want)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk_qubits", [None, 1, 2])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_one_multiply_for_all_products_bit_identical(self, monkeypatch, arity, chunk_qubits):
+        """e^{i*phi} times H on every target saves each column as a product
+        with one entry; the first column's product is x*u, the others u*x.
+        With phi = 0 the entry is real, the two orders round alike, and one
+        multiply of the chunk fills every product row.  With a random phi
+        each column keeps its own multiply, in its own operand order."""
+        if chunk_qubits is not None:
+            monkeypatch.setattr(gates, "_CHUNK_QUBITS", chunk_qubits)
+        rng = np.random.default_rng(150 + 3 * arity + (chunk_qubits or 0))
+        dense = np.ones((1, 1))
+        for _ in range(arity):
+            dense = np.kron(dense, HADAMARD.matrix)
+        for phi in (0.0, *rng.uniform(-math.pi, math.pi, 3)):
+            gate = custom_gate(arity, cmath.exp(1j * phi) * dense)
+            assert all(u is not None for _, u, _ in gate._plan.saves)
+            assert [gate._calls.whole, gate._point_calls.whole] == [phi == 0.0] * 2
+            for n in range(arity, 7):
+                amps = random_state_vector(n, rng)
+                for targets in itertools.permutations(range(n), arity):
+                    got, want = amps.copy(), amps.copy()
+                    gates._update(gate, targets, got)
+                    update_reference(gate, targets, want)
+                    assert got.tobytes() == want.tobytes(), (phi, n, targets)
 
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_scale_only_row_beside_a_dense_one_bit_identical(self, n):
