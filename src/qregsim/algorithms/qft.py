@@ -11,11 +11,11 @@ phases and keeps its order.  On a sub-register the transform is
 P^T (I x F) P for a qubit permutation P, and the same holds.
 
 Each ladder, per register and phase sign, is built once and reused, so its
-gates keep their kernel plans.  Its kernel program is cached beside it,
-once per register width: each qubit's fan of controlled phases shares that
-qubit, so the fusion pass makes the fan one multiply of the half of the
-state where the qubit is 1, split in several when it spans more than
-``gates._FUSED_QUBITS`` lower qubits.  A transform runs its program
+gates keep their compiled kernel calls.  Its kernel program is cached
+beside it, once per register width: each qubit's fan of controlled phases
+shares that qubit, so the fusion pass makes the fan one multiply of the
+half of the state where the qubit is 1, split in several when it spans
+more than ``gates._FUSED_QUBITS`` lower qubits.  A transform runs its program
 through the gate-sequence driver, which copies the input state once,
 before the first op, and runs every op in place in that copy.
 """

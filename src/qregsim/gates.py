@@ -15,15 +15,14 @@ run of at most four amplitudes below the lowest target, so that every pass
 loops along a long dimension.  Before a gate writes any row of a chunk, each
 input slice that a dense row reads is copied to scratch, or, when its
 column holds one entry up to sign, multiplied by that entry once; a row of
-such products is then one add or subtract per extra term.  Each gate's plan
-is compiled once into the flat list of ufunc calls it makes on a chunk, and
-when every column is such a product with one entry, the list starts with
-one multiply of the whole chunk: an ``h`` is one multiply of the chunk, one
-add and one subtract, run from the compiled call list.  A fusion pass
-turns a gate sequence into kernel ops: each run of adjacent diagonal steps
-that change amplitudes only where some shared qubits are 1, such as a
-qubit's fan of controlled phases in the Fourier ladder, becomes one
-in-place multiply of that sub-block by the product of the steps' entries.
+such products is then one add or subtract per extra term.  Each gate's
+matrix is compiled once into the flat list of ufunc calls it makes on a
+chunk: an ``h`` is two column multiplies, one add and one subtract.  A
+fusion pass turns a gate sequence into kernel ops: each run of adjacent
+diagonal steps that change amplitudes only where some shared qubits are 1,
+such as a qubit's fan of controlled phases in the Fourier ladder, becomes
+one in-place multiply of that sub-block by the product of the steps'
+entries.
 Diagonal gates commute, so the result is the same to rounding, but one
 multiply rounds differently in the last bits than the steps one by one.
 One driver runs every op sequence, from a single ``apply`` to a whole
@@ -71,68 +70,62 @@ class _Calls(NamedTuple):
     """The flat list of ufunc calls that ``_update`` makes on one chunk.
 
     Each call is ``(func, get)`` and runs as ``func(*get(slots))``, with its
-    output last.  The slots are the ``rows`` scratch rows, then, when
-    ``whole``, the scratch viewed as one chunk block, then ``entries`` as
-    read-only 0-d arrays, then the chunk's block indexed by each of ``keys``.
+    output last.  The slots are the ``rows`` scratch rows, then ``entries``
+    as read-only 0-d arrays, then the chunk's block indexed by each of
+    ``keys``: bit tuples with a trailing Ellipsis, so they index views even
+    when the gate spans every axis.
     """
 
     rows: int
-    whole: bool
     entries: tuple[np.ndarray, ...]
     keys: tuple[tuple, ...]
     calls: tuple[tuple[Callable, Callable], ...]
-
-
-class _Plan(NamedTuple):
-    """How ``_update`` applies one gate in place.
-
-    ``ops`` lists each row the gate writes as ``(row, first term, later
-    terms)``; identity rows are skipped, and a unitary has no all-zero row.
-    A term is ``(column, u, op)``: a product or a unit entry (``u`` None) is
-    added (``op`` ``np.add``) or subtracted (``np.subtract``) as it is, and
-    any other term is scaled by ``u`` first.  Indices are bit tuples with a
-    trailing Ellipsis, so they index views even when the gate spans every
-    axis.
-
-    ``saves`` lists the columns copied to scratch, one row each, before any
-    row is written, as ``(column, u, first)``.  A column that a multi-term
-    row reads, whose entry in every written row that reads it is ``u`` up to
-    sign, and that is the first term of every such row or of none, is saved
-    as its product with ``u``, in the operand order of a first term
-    (``first``) or of a later one.  Any other column that another row or a
-    multi-term row reads is saved as it is (``u`` None).  A row that only
-    scales itself reads its own column where it is.  ``scaled`` says
-    whether a later term needs a spare scratch row for its scaled copy.
-    ``controls`` lists the target positions set in every written row: for a
-    diagonal gate (nothing saved), the qubits that must be 1 for it to
-    change an amplitude.
-    """
-
-    ops: tuple[tuple[tuple, tuple, tuple[tuple, ...]], ...]
-    saves: tuple[tuple[tuple, complex | None, bool], ...]
-    scaled: bool
-    controls: tuple[int, ...]
 
 
 def _copy(src: np.ndarray, dst: np.ndarray) -> None:
     dst[...] = src  # a slice copy is faster than a ufunc call
 
 
-def _compile(ops, saves, scaled: bool, arity: int) -> _Calls:
-    """The calls that apply ``ops`` to one chunk after saving ``saves``.
+def _compile(matrix: np.ndarray, point: bool) -> _Calls:
+    """The calls that apply ``matrix`` in place to one chunk.
 
-    Each saved column gets its scratch row, a copy or its product with its
-    entry, before any row is written.  When every column is saved as a
-    product with one entry ``u``, as for an ``h``, one multiply of the
-    whole block fills the scratch instead, provided ``u`` is real or every
-    product has the same operand order: only then do ``x·u`` and ``u·x``
-    round alike, up to the sign of an exact zero.  A row then takes its
-    first term as a copy, a negated product or a scaled slice, or, when its
-    first two terms need no multiply, both in one add or subtract; each
-    later term is one add or subtract, after a multiply into the spare
-    (last) scratch row when it is scaled.
+    Identity rows are skipped, and a unitary has no all-zero row.  Before
+    any row is written, columns are saved to scratch, one row each.  A
+    column that a multi-term row reads, whose entry in every written row
+    that reads it is ``u`` up to sign, and that is the first term of every
+    such row or of none, is saved as its product with ``u``, in the operand
+    order of a first term (``x·u``) or of a later one (``u·x``); a row then
+    adds or subtracts it as it is.  Any other column that another row or a
+    multi-term row reads is saved as it is.  A row that only scales itself
+    reads its own column where it is, unless ``point``: slices of one
+    amplitude, which numpy scales in place with other rounding than out of
+    place, so every column a written row reads is saved.
+
+    A row takes its first term as a copy, a negated product or a scaled
+    slice, or, when its first two terms need no multiply, both in one add
+    or subtract; each later term is one add or subtract, after a multiply
+    into a spare (last) scratch row when it is scaled.
     """
-    rows = len(saves) + scaled
+    terms = [tuple((c, u) for c, u in enumerate(row) if u) for row in matrix.tolist()]
+    written = [r for r, t in enumerate(terms) if t != ((r, 1),)]
+    # Per column, its (entry, is a first term) in each written row.
+    uses: dict[int, list[tuple[complex, bool]]] = {}
+    for r in written:
+        for j, (c, u) in enumerate(terms[r]):
+            uses.setdefault(c, []).append((u, j == 0))
+    shared = sorted({c for r in written if len(terms[r]) > 1 for c, _ in terms[r]})
+    products = {}
+    for c in shared:
+        (u0, first0), *rest = uses[c]
+        if all(u in (u0, -u0) and first == first0 for u, first in rest):
+            products[c] = (u0, first0)
+    copies = sorted(
+        {c for r in written for c, _ in terms[r] if point or c != r or len(terms[r]) > 1}
+        - products.keys()
+    )
+    bits = [(*b, ...) for b in itertools.product((0, 1), repeat=len(terms).bit_length() - 1)]
+    saved = {c: ("scratch", i) for i, c in enumerate([*products, *copies])}
+    spare = ("scratch", len(saved))
     entries: list[np.ndarray] = []
     keys: list[tuple] = []
     calls = []
@@ -146,55 +139,45 @@ def _compile(ops, saves, scaled: bool, arity: int) -> _Calls:
         entries.append(value)
         return "entry", len(entries) - 1
 
-    def block(key):
-        if key not in keys:
-            keys.append(key)
-        return "block", keys.index(key)
+    def block(c):
+        if bits[c] not in keys:
+            keys.append(bits[c])
+        return "block", keys.index(bits[c])
 
-    saved = {c: ("scratch", i) for i, (c, _, _) in enumerate(saves)}
-    u0 = saves[0][1] if saves else None
-    whole = (
-        u0 is not None
-        and rows == 1 << arity
-        and all(u == u0 for _, u, _ in saves)
-        and (u0.imag == 0 or len({first for _, _, first in saves}) == 1)
-    )
-    if whole:
-        operands = (block((...,)), entry(u0)) if saves[0][2] else (entry(u0), block((...,)))
-        call(np.multiply, *operands, ("all scratch", 0))
-    else:
-        for c, u, first in saves:
-            if u is None:
-                call(_copy, block(c), saved[c])
-            elif first:
-                call(np.multiply, block(c), entry(u), saved[c])
-            else:
-                call(np.multiply, entry(u), block(c), saved[c])
-    for r, (c, u, op), more in ops:
+    def term(c, u):
+        """A term as (operand, entry still to multiply or None, add or subtract)."""
+        if c in products:
+            return saved[c], None, np.add if u == products[c][0] else np.subtract
+        return saved.get(c) or block(c), None if u == 1 else u, np.add
+
+    for c, (u, first) in products.items():
+        operands = (block(c), entry(u)) if first else (entry(u), block(c))
+        call(np.multiply, *operands, saved[c])
+    for c in copies:
+        call(_copy, block(c), saved[c])
+    for r in written:
         dst = block(r)
-        part = saved.get(c) or block(c)
+        (part, u, op), *more = (term(c, u) for c, u in terms[r])
         if u is not None:
             call(np.multiply, part, entry(u), dst)
         elif op is np.subtract:
             call(np.negative, part, dst)
         elif more and more[0][1] is None:
             # The first two terms need no multiply: one pass combines them.
-            (c, _, op), *more = more
-            call(op, part, saved[c], dst)
+            (other, _, op), *more = more
+            call(op, part, other, dst)
         else:
             call(_copy, part, dst)
         # Every column a multi-term row reads is saved.
-        for c, u, op in more:
-            if u is None:
-                call(op, dst, saved[c], dst)
-            else:
-                call(np.multiply, entry(u), saved[c], ("scratch", rows - 1))
-                call(op, dst, ("scratch", rows - 1), dst)
-    base = {"scratch": 0, "all scratch": rows, "entry": rows + whole}
-    base["block"] = base["entry"] + len(entries)
+        for part, u, op in more:
+            if u is not None:
+                call(np.multiply, entry(u), part, spare)
+                part = spare
+            call(op, dst, part, dst)
+    rows = len(saved) + any(spare in operands for _, operands in calls)
+    base = {"scratch": 0, "entry": rows, "block": rows + len(entries)}
     return _Calls(
         rows=rows,
-        whole=whole,
         entries=tuple(entries),
         keys=tuple(keys),
         calls=tuple(
@@ -252,71 +235,30 @@ class Gate:
         object.__setattr__(self, "matrix", matrix)
 
     @cached_property
-    def _plan(self) -> _Plan | None:
-        """How the kernel applies this gate; None for the identity.
+    def _changed(self) -> tuple[int, ...] | None:
+        """The rows a diagonal gate changes, ``()`` for the identity, and
+        None for a gate that is not diagonal.
 
         Built on first use, once per gate, so gates never applied cost
         nothing here.
         """
-        terms = [
-            tuple((c, u) for c, u in enumerate(row) if u)
-            for row in self.matrix.tolist()
-        ]
-        written = [r for r, t in enumerate(terms) if t != ((r, 1),)]
-        if not written:
+        rows = self.matrix.tolist()
+        if any(u for r, row in enumerate(rows) for c, u in enumerate(row) if c != r):
             return None
-        # Per column, its (entry, is a first term) in each written row.
-        uses: dict[int, list[tuple[complex, bool]]] = {}
-        for r in written:
-            for j, (c, u) in enumerate(terms[r]):
-                uses.setdefault(c, []).append((u, j == 0))
-        shared = {c for r in written if len(terms[r]) > 1 for c, _ in terms[r]}
-        products = {}
-        for c in shared:
-            (u0, first0), *rest = uses[c]
-            if all(u in (u0, -u0) and first == first0 for u, first in rest):
-                products[c] = (u0, first0)
-        parked = {c for r in written for c, _ in terms[r] if c != r or len(terms[r]) > 1}
-        bits = [(*b, ...) for b in itertools.product((0, 1), repeat=self.arity)]
-
-        def op(c, u):
-            if c in products:
-                return bits[c], None, np.add if u == products[c][0] else np.subtract
-            return bits[c], None if u == 1 else u, np.add
-
-        ops = []
-        for r in written:
-            first, *later = (op(c, u) for c, u in terms[r])
-            ops.append((bits[r], first, tuple(later)))
-        return _Plan(
-            ops=tuple(ops),
-            saves=tuple((bits[c], *products[c]) for c in sorted(products))
-            + tuple((bits[c], None, False) for c in sorted(parked - products.keys())),
-            scaled=any(u is not None for _, _, later in ops for _, u, _ in later),
-            controls=tuple(j for j in range(self.arity) if all(bits[r][j] for r in written)),
-        )
+        return tuple(r for r, row in enumerate(rows) if row[r] != 1)
 
     @cached_property
     def _calls(self) -> _Calls:
-        """The plan compiled for slices of several amplitudes, on first use.
+        """The calls for slices of several amplitudes, compiled on first use.
 
         A fused diagonal gate is never compiled.
         """
-        plan = self._plan
-        return _compile(plan.ops, plan.saves, plan.scaled, self.arity)
+        return _compile(self.matrix, False)
 
     @cached_property
     def _point_calls(self) -> _Calls:
-        """The plan compiled for a gate on every qubit, on first use.
-
-        Its slices hold one amplitude each, which numpy scales in place with
-        other rounding than out of place, so it also saves the columns of
-        the rows that only scale themselves: the first terms not saved yet.
-        """
-        plan = self._plan
-        done = {c for c, _, _ in plan.saves}
-        extra = tuple((c, None, False) for _, (c, _, _), _ in plan.ops if c not in done)
-        return _compile(plan.ops, plan.saves + extra, plan.scaled, self.arity)
+        """The calls for a gate on every qubit, compiled on first use."""
+        return _compile(self.matrix, True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -496,13 +438,13 @@ def _layout(
 
 
 def _update(gate: Gate, targets, amps: np.ndarray) -> None:
-    """Apply ``gate``'s plan to ``amps`` in place, unvalidated.
+    """Apply ``gate`` to ``amps`` in place, unvalidated.
 
     On the ``[2]*n`` view, each row slice of the target axes becomes the sum
     of the row slices its matrix row reads, weighted by the entries; unit
-    entries are slice copies.  Each chunk runs the plan's compiled call
-    list (``_compile``), so an ``h`` is one multiply of the chunk, one add
-    and one subtract.  The scratch holds the saved rows of one chunk plus
+    entries are slice copies.  Each chunk runs the gate's compiled call
+    list (``_compile``), so an ``h`` is two column multiplies, one add and
+    one subtract.  The scratch holds the saved rows of one chunk plus
     the spare row: at most 2**k + 1 chunk rows for a k-qubit gate,
     allocated here and released on return.  The view comes from
     ``_layout``: qubit ``q`` stays on axis ``n-1-q``, but runs of adjacent
@@ -516,14 +458,12 @@ def _update(gate: Gate, targets, amps: np.ndarray) -> None:
     layout = _layout(
         targets, amps.size.bit_length() - 1, _CHUNK_QUBITS, _SHORT_RUN_QUBITS, _LONG_SLICE_QUBITS
     )
-    rows, whole, entries, keys, calls = gate._calls if layout.scratch_shape else gate._point_calls
+    rows, entries, keys, calls = gate._calls if layout.scratch_shape else gate._point_calls
     view = amps.reshape(layout.shape).transpose(layout.order)
     fixed = []
     if rows:
         scratch = np.empty((rows, *layout.scratch_shape), dtype=np.complex128)
         fixed = [scratch[i, ...] for i in range(rows)]
-        if whole:
-            fixed.append(scratch.reshape(view.shape[len(layout.outer) :]))
     fixed += entries
     for chunk in itertools.product(*layout.outer):
         block = view[chunk]
@@ -593,7 +533,7 @@ def _fuse(steps, num_qubits: int):
     """The kernel ops for ``steps`` on a ``num_qubits`` register, in order.
 
     Identity steps are dropped.  A run of two or more adjacent diagonal
-    steps (a gate whose plan saves no column) becomes one ``_Scale`` when some
+    steps (a gate with ``_changed`` rows) becomes one ``_Scale`` when some
     qubit must be 1 for every one of them to change an amplitude: diagonal
     gates commute, and each is the identity off the sub-block where those
     shared qubits are 1.  A run grows while it keeps a shared qubit and at
@@ -613,16 +553,20 @@ def _fuse(steps, num_qubits: int):
         return tuple(run)
 
     for step in steps:
-        plan = step.gate._plan
-        if plan is None:
+        changed = step.gate._changed
+        if changed == ():
             continue
-        if plan.saves:
+        if changed is None:
             if run:
                 yield from flush()
                 run = []
             yield step
             continue
-        controls = frozenset(step.targets[j] for j in plan.controls)
+        # The targets set in every changed row (the first target is its top bit).
+        last = len(step.targets) - 1
+        controls = frozenset(
+            q for j, q in enumerate(step.targets) if all(r >> (last - j) & 1 for r in changed)
+        )
         common, wider = shared & controls, touched.union(step.targets)
         if run and common and len(wider) - len(common) <= _FUSED_QUBITS:
             run.append(step)
@@ -636,7 +580,7 @@ def _fuse(steps, num_qubits: int):
 def _evolve(amplitudes: np.ndarray, num_qubits: int, ops) -> QuantumState:
     """Run kernel ops on unit-norm ``amplitudes`` in place; wrap the result unchecked.
 
-    ``ops`` are gate applications with a plan and fused runs, as ``_fuse``
+    ``ops`` are non-identity gate applications and fused runs, as ``_fuse``
     yields them.  A writable ``amplitudes`` is a buffer the caller hands
     over.  A read-only one, such as a state's amplitudes, is copied once,
     before the first op, so the caller's array is never written.  Every op
@@ -664,6 +608,6 @@ def apply(state: QuantumState, application: GateApplication) -> QuantumState:
     is a checked unitary, or the input itself for the identity.
     """
     _check_qubits(application.targets, state.num_qubits)
-    if application.gate._plan is None:
+    if application.gate._changed == ():
         return state
     return _evolve(state.amplitudes, state.num_qubits, (application,))

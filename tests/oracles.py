@@ -247,7 +247,7 @@ def classical_walk_reference(steps: int) -> np.ndarray:
 def update_reference(gate, targets, amps: np.ndarray) -> None:
     """``gates._update`` on the unmerged ``[2]*n`` view, one axis per qubit.
 
-    Reads its terms from the gate's matrix, not from its plan: each row is
+    Reads its terms from the gate's matrix, not from its calls: each row is
     its first nonzero entry times its column (a copy for a unit entry),
     plus each later entry times its column, in that operand order.  Same
     chunk boundary (``gates._CHUNK_QUBITS``, read per call), but out of

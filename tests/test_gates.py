@@ -36,7 +36,7 @@ from qregsim import (
     gates,
 )
 from qregsim.algorithms import inverse_qft, qft
-from qregsim.algorithms.qft import _program
+from qregsim.algorithms.qft import _ladder, _program
 
 PHI_SAMPLES = (0.0, math.pi / 7, math.pi / 2, math.pi)
 
@@ -299,7 +299,7 @@ class TestGateProperties:
 
     @pytest.mark.parametrize("gate", all_gate_kinds()[1:], ids=lambda g: g.name)
     def test_input_neither_mutated_nor_aliased(self, gate):
-        """In-place plans too read the input state and write a fresh buffer."""
+        """A gate run in place still reads the input state and writes a fresh buffer."""
         state = from_amplitudes(4, random_state_vector(4, np.random.default_rng(10)))
         before = state.amplitudes.tobytes()
         out = apply(state, GateApplication(gate, tuple(range(gate.arity))[::-1]))
@@ -377,21 +377,24 @@ class TestValues:
                 setattr(value, name, getattr(value, name))
 
     def test_plan_built_once_per_gate(self, monkeypatch):
-        built = []
-        cached = Gate.__dict__["_plan"]  # a functools.cached_property
-        build = cached.func
+        """A gate finds the rows it changes and compiles its calls once,
+        however often it is applied."""
+        built = {"_changed": [], "_calls": []}
+        for name, log in built.items():
+            cached = Gate.__dict__[name]  # a functools.cached_property
 
-        def recording(gate):
-            built.append(gate)
-            return build(gate)
+            def recording(gate, build=cached.func, log=log):
+                log.append(id(gate))
+                return build(gate)
 
-        monkeypatch.setattr(cached, "func", recording)
-        gate, twin = phase_shift(0.25), phase_shift(0.25)
-        steps = tuple(GateApplication(g, (q,)) for g in (gate, twin) for q in (0, 1, 2, 0))
+            monkeypatch.setattr(cached, "func", recording)
+        gate, twin, dense = phase_shift(0.25), phase_shift(0.25), custom_gate(1, HADAMARD.matrix)
+        steps = tuple(GateApplication(g, (q,)) for g in (gate, twin, dense) for q in (0, 1, 2, 0))
         Circuit(3, steps).final_state()
         apply(basis_state(3, 7), steps[0])
-        assert [id(g) for g in built] == [id(gate), id(twin)]
-        assert gate._plan is gate._plan
+        apply(basis_state(3, 7), steps[-1])
+        assert built == {name: [id(gate), id(twin), id(dense)] for name in built}
+        assert gate._changed is gate._changed and gate._calls is gate._calls
 
 
 def _fused(steps, n):
@@ -431,19 +434,30 @@ def _chunk_count(layout):
 
 
 def _row_numbers(indices):
-    """Plan row indices (bit tuples ending in Ellipsis) as matrix row numbers."""
+    """Block keys (bit tuples ending in Ellipsis) as matrix row numbers."""
     return [int("".join(str(b) for b in index[:-1]), 2) for index in indices]
+
+
+def _operands(compiled):
+    """Each of ``compiled``'s calls as (func, operands), with each operand
+    named: ("scratch", i), an entry's value, or ("row", matrix row)."""
+    slots = [("scratch", i) for i in range(compiled.rows)]
+    slots += [complex(value) for value in compiled.entries]
+    slots += [("row", r) for r in _row_numbers(compiled.keys)]
+    return [(func, get(slots)) for func, get in compiled.calls]
 
 
 class TestSequenceKernel:
     """Circuit.final_state evolves one owned buffer in place."""
 
-    # Per kind: the rows its plan writes, the columns it saves as they are,
-    # and the columns it saves as products.
-    ROWS = {
-        "x": ([0, 1], [0, 1], []), "h": ([0, 1], [], [0, 1]), "phase": ([1], [], []),
-        "cnot": ([2, 3], [2, 3], []), "cphase": ([3], [], []), "swap": ([1, 2], [1, 2], []),
-        "toffoli": ([6, 7], [6, 7], []), "fredkin": ([5, 6], [5, 6], []),
+    # Per kind: the rows its calls write, its ufuncs in call order, and its
+    # scratch rows.
+    COPIES = [gates._copy] * 4
+    CALLS = {
+        "x": ([0, 1], COPIES, 2), "h": ([0, 1], [np.multiply, np.multiply, np.add, np.subtract], 2),
+        "phase": ([1], [np.multiply], 0), "cnot": ([2, 3], COPIES, 2),
+        "cphase": ([3], [np.multiply], 0), "swap": ([1, 2], COPIES, 2),
+        "toffoli": ([6, 7], COPIES, 2), "fredkin": ([5, 6], COPIES, 2),
     }
 
     @pytest.mark.parametrize(
@@ -452,29 +466,32 @@ class TestSequenceKernel:
          (controlled_phase(0.3), True), (EXCHANGE, True), (TOFFOLI, True), (FREDKIN, True)],
     )
     def test_strategy_per_kind(self, gate, skips_rows):
-        """Identity rows are skipped; a column another row reads is saved as
-        it is; an h saves both columns as products and writes its rows with
-        one add and one subtract; a row that only scales itself reads its
-        column in place."""
-        plan = gate._plan
-        written, parked, products = self.ROWS[gate.name]
-        assert (len(plan.ops) < 1 << gate.arity) is skips_rows
-        assert _row_numbers(r for r, _, _ in plan.ops) == written
-        assert _row_numbers(c for c, u, _ in plan.saves if u is None) == parked
-        assert _row_numbers(c for c, u, _ in plan.saves if u is not None) == products
-        saved = [c for c, _, _ in plan.saves]
-        in_place = [c for _, (c, _, _), _ in plan.ops if c not in saved]
-        assert sorted(_row_numbers(saved + in_place)) == written
-        assert plan.scaled is False
-        # Only an h saves every column as a product with one real entry, so
-        # one multiply of the chunk fills both its product rows.
+        """Identity rows are skipped; a column another row reads is copied
+        to scratch; an h multiplies each column by its entry once and writes
+        its rows with one add and one subtract; a row that only scales
+        itself is scaled in place."""
+        written, funcs, rows = self.CALLS[gate.name]
         compiled = gate._calls
-        assert compiled.whole is (gate is HADAMARD)
+        calls = _operands(compiled)
+        outputs = [operands[-1][1] for _, operands in calls if operands[-1][0] == "row"]
+        assert outputs == written
+        assert (len(outputs) < 1 << gate.arity) is skips_rows
+        assert [func for func, _ in calls] == funcs
+        assert compiled.rows == rows
+        if funcs is self.COPIES:
+            # Each written row is copied to scratch before any is written.
+            assert [operands[0] for _, operands in calls[:2]] == [("row", r) for r in written]
+        if gate.name in ("phase", "cphase"):
+            ((_, (source, _, target)),) = calls
+            assert source == target == ("row", written[0])
         if gate is HADAMARD:
-            assert [first for _, _, first in plan.saves] == [True, False]
-            assert [(first[1:], [t[1:] for t in more]) for _, first, more in plan.ops] == [
-                ((None, np.add), [(None, np.add)]), ((None, np.add), [(None, np.subtract)])]
-            assert [func for func, _ in compiled.calls] == [np.multiply, np.add, np.subtract]
+            # The first term of a row is x*u, a later one u*x.
+            s = complex(HADAMARD.matrix[0, 0])
+            assert [operands for _, operands in calls] == [
+                (("row", 0), s, ("scratch", 0)), (s, ("row", 1), ("scratch", 1)),
+                (("scratch", 0), ("scratch", 1), ("row", 0)),
+                (("scratch", 0), ("scratch", 1), ("row", 1)),
+            ]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -532,9 +549,9 @@ class TestSequenceKernel:
         for _ in range(300):
             arity = int(rng.integers(1, 5))
             gate = custom_gate(arity, _random_monomial(arity, rng))
-            if gate._plan is None:
+            if gate._changed == ():
                 continue
-            seen.add(bool(gate._plan.saves))
+            seen.add(gate._changed is None)
             step = GateApplication(gate, tuple(int(q) for q in rng.permutation(n)[:arity]))
             got = gates._evolve(amps.copy(), n, [step]).amplitudes
             want = amps.copy()
@@ -591,7 +608,7 @@ class TestKernelAgainstReference:
         for n in range(1, 6):
             amps = random_state_vector(n, rng)
             for gate in kinds:
-                if gate._plan is None:
+                if gate._changed == ():
                     continue
                 for targets in itertools.permutations(range(n), gate.arity):
                     got, want = amps.copy(), amps.copy()
@@ -635,7 +652,7 @@ class TestKernelAgainstReference:
         for arity in (1, 2, 3):
             kinds += [custom_gate(arity, f(arity, rng))
                       for f in (_random_unitary, _random_monomial, _signed_dense)]
-        return [g for g in kinds if g._plan is not None]
+        return [g for g in kinds if g._changed != ()]
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_short_runs_walked_as_chunks_bit_identical(self, n):
@@ -663,8 +680,7 @@ class TestKernelAgainstReference:
         others = data.draw(st.lists(st.integers(low + 1, n - 1), min_size=gate.arity - 1,
                                     max_size=gate.arity - 1, unique=True), label="others")
         targets = tuple(data.draw(st.permutations([low, *others]), label="targets"))
-        plan = gate._plan
-        assert len(plan.saves) + plan.scaled <= (1 << gate.arity) + 1
+        assert gate._calls.rows <= (1 << gate.arity) + 1
         amps = random_state_vector(n, rng)
         got, want = amps.copy(), amps.copy()
         gates._update(gate, targets, got)
@@ -673,22 +689,24 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("chunk_qubits", [None, 1, 2])
     @pytest.mark.parametrize("arity", [1, 2])
-    def test_one_multiply_for_all_products_bit_identical(self, monkeypatch, arity, chunk_qubits):
+    def test_every_column_a_product_bit_identical(self, monkeypatch, arity, chunk_qubits):
         """e^{i*phi} times H on every target saves each column as a product
-        with one entry; the first column's product is x*u, the others u*x.
-        With phi = 0 the entry is real, the two orders round alike, and one
-        multiply of the chunk fills every product row.  With a random phi
-        each column keeps its own multiply, in its own operand order."""
+        with one entry, each in its own multiply and its own operand order:
+        the first column's product is x*u, the others u*x.  With phi = 0 the
+        entry is real; with a random phi the two orders may round apart."""
         if chunk_qubits is not None:
             monkeypatch.setattr(gates, "_CHUNK_QUBITS", chunk_qubits)
         rng = np.random.default_rng(150 + 3 * arity + (chunk_qubits or 0))
         dense = np.ones((1, 1))
         for _ in range(arity):
             dense = np.kron(dense, HADAMARD.matrix)
+        dim = 1 << arity
         for phi in (0.0, *rng.uniform(-math.pi, math.pi, 3)):
             gate = custom_gate(arity, cmath.exp(1j * phi) * dense)
-            assert all(u is not None for _, u, _ in gate._plan.saves)
-            assert [gate._calls.whole, gate._point_calls.whole] == [phi == 0.0] * 2
+            for compiled in (gate._calls, gate._point_calls):
+                saves = [(func, operands[-1]) for func, operands in _operands(compiled)[:dim]]
+                assert saves == [(np.multiply, ("scratch", c)) for c in range(dim)]
+                assert compiled.rows == dim
             for n in range(arity, 7):
                 amps = random_state_vector(n, rng)
                 for targets in itertools.permutations(range(n), arity):
@@ -697,12 +715,30 @@ class TestKernelAgainstReference:
                     update_reference(gate, targets, want)
                     assert got.tobytes() == want.tobytes(), (phi, n, targets)
 
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_column_first_in_some_rows_later_in_others_bit_identical(self, n):
+        """A complex phase times ``_partly_shared``: one column is the first
+        term of two rows and a later term of two others.  x*u and u*x can
+        round apart for a complex u, so it is saved as it is and each row
+        multiplies it in its own operand order."""
+        rng = np.random.default_rng(170 + n)
+        amps = random_state_vector(n, rng)
+        for phi in rng.uniform(-math.pi, math.pi, 8):
+            gate = custom_gate(2, cmath.exp(1j * phi) * _partly_shared().matrix)
+            for targets in itertools.permutations(range(min(n, 4)), 2):
+                got, want = amps.copy(), amps.copy()
+                gates._update(gate, targets, got)
+                update_reference(gate, targets, want)
+                assert got.tobytes() == want.tobytes(), (phi, targets)
+
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_scale_only_row_beside_a_dense_one_bit_identical(self, n):
         """Column 0 of this near-unitary gate is 1j in its scale-only row and
         1e-13 in the dense one, so it is saved as it is, not as a product."""
         gate = custom_gate(1, [[1j, 0], [1e-13, 1]])
-        assert ((0, ...), None, False) in gate._plan.saves
+        saves = [(func, operands) for func, operands in _operands(gate._calls)
+                 if ("row", 0) in operands and operands[-1][0] == "scratch"]
+        assert [func for func, _ in saves] == [gates._copy]
         amps = random_state_vector(n, np.random.default_rng(140 + n))
         for q in range(n):
             got, want = amps.copy(), amps.copy()
@@ -729,7 +765,7 @@ class TestKernelAgainstReference:
             row, col = rng.integers(dim, size=2)
             matrix[row, col] += size * np.exp(1j * rng.uniform(-math.pi, math.pi))
         gate = custom_gate(arity, matrix)
-        if gate._plan is None:
+        if gate._changed == ():
             return
         n = data.draw(st.integers(arity, 12), label="num_qubits")
         targets = tuple(data.draw(st.permutations(range(n)), label="targets")[:arity])
@@ -942,3 +978,56 @@ class TestDiagonalFusion:
             scales = [op for op in program if isinstance(op, gates._Scale)]
             assert len(scales) > t // 2
             assert max(op.factors.size for op in scales) == 1 << gates._FUSED_QUBITS
+
+    def test_fused_diagonal_gates_are_never_compiled(self):
+        """A gate folded into a fused multiply never builds its call lists:
+        a fan of controlled phases sharing a qubit, and the fans of a
+        Fourier ladder built cold."""
+        n = 6
+        fan = [GateApplication(controlled_phase(math.pi / (1 << d)), (d - 1, 5)) for d in range(1, 6)]
+        assert _fused(fan, n)
+        Circuit(n, tuple(fan)).final_state()
+        _ladder.cache_clear()
+        _program.cache_clear()
+        inverse_qft(from_amplitudes(10, random_state_vector(10, np.random.default_rng(160))))
+        ladder = _ladder(tuple(range(10)), -1)
+        unfused = {id(op) for op in _program(tuple(range(10)), 10, -1)}
+        folded = [step for step in ladder if id(step) not in unfused]
+        assert len(folded) > 30
+        for step in fan + folded:
+            assert "_calls" not in vars(step.gate) and "_point_calls" not in vars(step.gate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_changed_rows_agree_with_a_dense_diagonal_check(self, data):
+        """``Gate._changed`` is the rows where a diagonal matrix is not 1,
+        () for the identity and None for any other matrix."""
+
+        def dense_changed(matrix):
+            if np.count_nonzero(matrix - np.diag(np.diagonal(matrix))):
+                return None
+            return tuple(int(r) for r in np.flatnonzero(np.diagonal(matrix) != 1))
+
+        phi = data.draw(st.sampled_from((*PHI_SAMPLES, -0.0, 2 * math.pi)), label="phi")
+        for gate in all_gate_kinds(phi):
+            assert gate._changed == dense_changed(gate.matrix), gate
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        arity = data.draw(st.integers(1, 3), label="arity")
+        dim = 1 << arity
+        diagonal = np.where(rng.random(dim) < 0.5, 1, np.exp(1j * rng.uniform(-3, 3, dim)))
+
+        def near_diagonal():
+            """One tiny entry at a random spot off the diagonal."""
+            matrix = np.diag(diagonal)
+            matrix[tuple(rng.choice(dim, size=2, replace=False))] = 1e-14
+            return matrix
+
+        make = data.draw(st.sampled_from([
+            lambda: np.diag(diagonal),
+            near_diagonal,
+            lambda: _random_monomial(arity, rng),
+            lambda: _random_unitary(arity, rng),
+            lambda: _signed_dense(arity, rng),
+        ]), label="matrix")
+        gate = custom_gate(arity, make())
+        assert gate._changed == dense_changed(gate.matrix)
