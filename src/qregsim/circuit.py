@@ -15,9 +15,13 @@ and ``phase``/``cphase`` take a trailing finite angle in radians (decimal
 literal).  ``measure`` names the terminally measured qubits (or ``all``)
 and, when present, must be the last instruction.
 
-``run`` evolves and samples only the qubits some step targets, since an
-idle qubit stays |0> and reads 0; ``Circuit.final_state`` returns the whole
-register.
+``run`` evolves and samples only the qubits that can leave the
+computational basis.  A qubit is one classical bit, 0 while idle, until a
+dense gate (``h``, a custom gate that is not a 0/1 permutation) targets it,
+or a permutation gate (``x``, ``cnot``, ``swap``, ``toffoli``,
+``fredkin``) that also targets an evolved qubit; a diagonal gate (``id``,
+``phase``, ``cphase``) never makes a qubit evolved.
+``Circuit.final_state`` returns the whole register.
 """
 
 from __future__ import annotations
@@ -92,9 +96,14 @@ class Circuit:
     def final_state(self) -> QuantumState:
         """Evolve |0...0> through every step (no measurement)."""
         _check_num_qubits(self.num_qubits)
-        amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return gates._evolve(amps, self.num_qubits, gates._fuse(self.steps, self.num_qubits))
+        return _evolve_basis(self.num_qubits, 0, self.steps)
+
+
+def _evolve_basis(num_qubits: int, index: int, steps) -> QuantumState:
+    """Evolve the basis state |index> of a ``num_qubits`` register through ``steps``."""
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return gates._evolve(amps, num_qubits, gates._fuse(steps, num_qubits))
 
 
 @dataclass(frozen=True)
@@ -231,17 +240,75 @@ def serialize(circuit: Circuit) -> str:
 _MAX_OUTCOME_BITS = 63
 
 
+def _restricted(step: GateApplication, bits: list[int], entry: dict[int, int]):
+    """A diagonal step on its kept targets, with each classical target
+    fixed at its bit, or None when that leaves no kept target (a global
+    phase) or only entries of 1."""
+    kept = tuple(q for q in step.targets if q in entry)
+    if not kept:
+        return None
+    index = tuple(slice(None) if q in entry else bits[q] for q in step.targets)
+    entries = step.gate.matrix.diagonal().reshape((2,) * len(step.targets))[index].reshape(-1)
+    if (entries == 1).all():
+        return None
+    return GateApplication(gates._unchecked(step.gate.name, len(kept), np.diag(entries)), kept)
+
+
+def _split(circuit: Circuit) -> tuple[list[int], int, list[GateApplication], list[int]]:
+    """One forward pass that splits the qubits into kept and classical ones.
+
+    A qubit is kept once a dense step targets it, or a permutation step
+    that targets a kept qubit; only kept qubits are evolved.  Any other
+    qubit is in a basis state at every step, so it is tracked as one bit:
+    a permutation step whose targets are all classical permutes their bits,
+    and a diagonal step is restricted to its kept targets at the classical
+    bits (``_restricted``).  A qubit enters the kept register in the bit it
+    held when it was kept: until then no kept step targets it, so flipping
+    it at the start commutes with every step before.
+
+    Returns the kept qubits in ascending order, the basis index of the
+    kept register to start from (bit ``i`` for ``kept[i]``), the steps on
+    the original qubit labels, and every qubit's bit, final for a qubit
+    that stays classical.
+    """
+    bits = [0] * circuit.num_qubits
+    entry: dict[int, int] = {}  # kept qubit -> its bit when it was kept
+    steps = []
+    for step in circuit.steps:
+        gate, targets = step.gate, step.targets
+        if gate._changed is not None:
+            if not all(q in entry for q in targets):
+                step = _restricted(step, bits, entry)
+            if step is not None:
+                steps.append(step)
+        elif gate._permutation is not None and entry.keys().isdisjoint(targets):
+            index = 0
+            for q in targets:  # the first target is the top bit
+                index = index << 1 | bits[q]
+            index = gate._permutation[index]
+            for q in reversed(targets):
+                bits[q], index = index & 1, index >> 1
+        else:
+            for q in targets:
+                entry.setdefault(q, bits[q])
+            steps.append(step)
+    kept = sorted(entry)
+    return kept, sum(entry[q] << i for i, q in enumerate(kept)), steps, bits
+
+
 def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
     """Execute a circuit: evolve |0...0> once, then sample ``shots`` outcomes.
 
-    Only the qubits some step targets are evolved and sampled. A qubit no
-    step touches stays |0>, so the register is that |0> times the state of
-    the touched qubits, and an idle measured qubit reads 0 in every shot.
-    So the run holds a state of 2^k amplitudes for k touched qubits, not
-    2^n; ``Circuit.final_state`` still returns the whole register. Counts
-    and the draws taken are those of sampling the whole register, one
-    uniform per shot. Identical (circuit, shots, seed) produce identical
-    counts.
+    Only the qubits that can leave the computational basis are evolved
+    and sampled (``_split``).  A qubit that no dense step targets, and no
+    permutation step that also targets an evolved qubit, is one classical
+    bit, so the register is a basis state of those bits times the state of
+    the kept qubits, and a measured classical qubit reads its bit in every
+    shot.  So the run holds a state of 2^k amplitudes for k kept qubits,
+    not 2^n; ``Circuit.final_state`` still returns the whole register.
+    Counts and the draws taken are those of sampling the whole register,
+    one uniform per shot.  Identical (circuit, shots, seed) produce
+    identical counts.
     """
     shots = _check_shots(shots)
     rng = RandomSource(seed)
@@ -252,20 +319,20 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
             f"{len(measured)} measured qubits do not pack into one outcome; "
             f"at most {_MAX_OUTCOME_BITS} do"
         )
-    touched = sorted({q for step in circuit.steps for q in step.targets}) or [0]
-    position = {q: i for i, q in enumerate(touched)}
-    compact = Circuit(len(touched), tuple(
-        GateApplication(step.gate, [position[q] for q in step.targets])
-        for step in circuit.steps
-    ))
+    kept, start, steps, bits = _split(circuit)
+    position = {q: i for i, q in enumerate(kept)}
+    if len(kept) < circuit.num_qubits:
+        steps = [GateApplication(step.gate, [position[q] for q in step.targets]) for step in steps]
+    state = _evolve_basis(len(kept) or 1, start, steps)  # no kept qubit: sample one |0>
     live = [j for j, q in enumerate(measured) if q in position]
-    counts = sample_counts(compact.final_state(), shots, rng,
-                           qubits=[position[measured[j]] for j in live])
-    if live != list(range(len(live))):
-        # Bit i of a compact outcome is bit live[i] of the packed one. The
-        # deposit keeps the order, so the counts stay in ascending order.
+    constant = sum(bits[q] << j for j, q in enumerate(measured) if q not in position)
+    counts = sample_counts(state, shots, rng, qubits=[position[measured[j]] for j in live])
+    if constant or live != list(range(len(live))):
+        # Bit i of a compact outcome is bit live[i] of the packed one, and
+        # each classical qubit adds its bit. The deposit keeps the order and
+        # the bits are fixed, so the counts stay in ascending order.
         outcomes = np.fromiter(counts, dtype=np.int64, count=len(counts))
-        packed = np.zeros_like(outcomes)
+        packed = np.full_like(outcomes, constant)
         for i, j in enumerate(live):
             packed |= ((outcomes >> i) & 1) << j
         counts = dict(zip(packed.tolist(), counts.values()))

@@ -6,8 +6,8 @@ its printed seed and parameters.  Exit codes: 0 success, 1 usage error,
 2 runtime/precondition error.
 
 Each subcommand builds one report, a JSON document and its text lines, and
-``main`` prints it in the chosen ``--format``; the long text bodies of
-``run`` and ``qft-demo`` are generated only when printed.  Text starts with ``#``
+``main`` prints it in the chosen ``--format``; text lines are generated
+only when printed.  Text starts with ``#``
 header lines (``# key value``; floats as ``.6g``, lists space-separated),
 then the result lines: ``BITSTRING COUNT PROB`` by descending count for
 ``run``, ``BITSTRING PROB`` for ``qft-demo``, ``POSITION PROB`` and a
@@ -70,17 +70,21 @@ def _fresh_seed() -> int:
     return random.SystemRandom().getrandbits(63)
 
 
-def _header(doc: dict, *keys: str) -> list[str]:
+def _header(doc: dict, *keys: str) -> Iterator[str]:
     """``# key value`` lines for ``keys`` of ``doc``: floats as ``.6g``, lists space-separated."""
-    lines = []
     for key in keys:
         value = doc[key]
         if isinstance(value, float):
             value = f"{value:.6g}"
         elif isinstance(value, list):
             value = " ".join(map(str, value))
-        lines.append(f"# {key} {value}")
-    return lines
+        yield f"# {key} {value}"
+
+
+def _text(doc: dict, keys: tuple[str, ...], line: str) -> Iterator[str]:
+    """Header lines for ``keys``, then the result line ``line.format_map(doc)``."""
+    yield from _header(doc, *keys)
+    yield line.format_map(doc)
 
 
 def _read(path: str) -> str:
@@ -127,7 +131,7 @@ def _cmd_qrng(args) -> tuple[dict, Iterable[str]]:
         )
     value = qrng(args.bits, args.chunk, RandomSource(args.seed))
     doc = {"bits": args.bits, "chunk": args.chunk, "value": value, "seed": args.seed}
-    return doc, _header(doc, "bits", "chunk", "seed") + [str(value)]
+    return doc, _text(doc, ("bits", "chunk", "seed"), "{value}")
 
 
 def _cmd_grover(args) -> tuple[dict, Iterable[str]]:
@@ -147,8 +151,8 @@ def _cmd_grover(args) -> tuple[dict, Iterable[str]]:
         "predicted_success": result.predicted_success,
         "seed": args.seed,
     }
-    header = _header(doc, "qubits", "targets", "iterations", "predicted_success", "seed")
-    return doc, header + [doc["bitstring"]]
+    keys = ("qubits", "targets", "iterations", "predicted_success", "seed")
+    return doc, _text(doc, keys, "{bitstring}")
 
 
 def _cmd_qft_demo(args) -> tuple[dict, Iterable[str]]:
@@ -170,7 +174,16 @@ def _cmd_qft_demo(args) -> tuple[dict, Iterable[str]]:
 def _cmd_shor(args) -> tuple[dict, Iterable[str]]:
     p, q = shor_factor(args.n, RandomSource(args.seed))
     doc = {"n": args.n, "p": p, "q": q, "seed": args.seed}
-    return doc, _header(doc, "seed") + [f"{args.n} = {p} × {q}"]
+    return doc, _text(doc, ("seed",), "{n} = {p} × {q}")
+
+
+def _spread(doc: dict) -> Iterator[str]:
+    """Text lines of a ``walk`` report: each reachable position, then both spreads."""
+    yield from _header(doc, "steps")
+    for pos, prob in zip(doc["positions"], doc["quantum"]):
+        if prob > 1e-12:
+            yield f"{pos} {prob:.6g}"
+    yield from _header(doc, "sigma_quantum", "sigma_classical")
 
 
 def _cmd_walk(args) -> tuple[dict, Iterable[str]]:
@@ -184,10 +197,7 @@ def _cmd_walk(args) -> tuple[dict, Iterable[str]]:
         "sigma_quantum": quantum.std(),
         "sigma_classical": classical.std(),
     }
-    rows = [
-        f"{pos} {prob:.6g}" for pos, prob in zip(doc["positions"], doc["quantum"]) if prob > 1e-12
-    ]
-    return doc, _header(doc, "steps") + rows + _header(doc, "sigma_quantum", "sigma_classical")
+    return doc, _spread(doc)
 
 
 def _cmd_qam(args) -> tuple[dict, Iterable[str]]:
@@ -200,7 +210,7 @@ def _cmd_qam(args) -> tuple[dict, Iterable[str]]:
         "predicted_success": result.predicted_success,
         "seed": args.seed,
     }
-    return doc, _header(doc, "query", "radius", "predicted_success", "seed") + [result.pattern]
+    return doc, _text(doc, ("query", "radius", "predicted_success", "seed"), "{pattern}")
 
 
 @functools.cache  # parse_args does not mutate the parser, so one serves every call

@@ -248,6 +248,24 @@ class Gate:
         return tuple(r for r, row in enumerate(rows) if row[r] != 1)
 
     @cached_property
+    def _permutation(self) -> tuple[int, ...] | None:
+        """The row each column maps to for a 0/1 permutation matrix, and
+        None for any other gate, a monomial one with phases included.
+
+        Such a gate maps each basis state to a basis state, so on qubits
+        in one it is classical logic.  Built on first use, as ``_changed``.
+        """
+        image: list[int | None] = [None] * (1 << self.arity)
+        for r, row in enumerate(self.matrix.tolist()):
+            for c, u in enumerate(row):
+                if not u:
+                    continue
+                if u != 1 or image[c] is not None:
+                    return None
+                image[c] = r
+        return tuple(image)
+
+    @cached_property
     def _calls(self) -> _Calls:
         """The calls for slices of several amplitudes, compiled on first use.
 

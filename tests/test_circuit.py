@@ -314,10 +314,10 @@ class TestRun:
 
     @pytest.mark.parametrize("shots", [2.5, 1000.0, "10", None, np.float64(4), True])
     def test_non_integer_shots_rejected_before_evolving(self, monkeypatch, shots):
-        def evolve(self):
+        def evolve(*args):
             raise AssertionError("evolved before the shot count was checked")
 
-        monkeypatch.setattr(Circuit, "final_state", evolve)
+        monkeypatch.setattr(gates, "_evolve", evolve)
         with pytest.raises(ValueError, match="shots must be an integer"):
             run_circuit(parse_circuit(BELL_TEXT), shots, seed=1)
 
@@ -332,28 +332,56 @@ class TestRun:
         assert set(result.counts) == {0b1000, 0b1101}
         assert result.num_bits == 4
 
-    @pytest.mark.parametrize("shape", ["empty", "id-only", "idle-measured", "mixed"])
+    @pytest.mark.parametrize("shape", ["empty", "id-only", "idle-measured", "mixed", "classical"])
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_counts_and_draws_equal_the_whole_register_run(self, shape, seed):
         rng = np.random.default_rng(seed)
-        circuit = _sparse_circuit(rng, shape)
-        shots = int(rng.integers(1, 3000))
-        sources = []
+        _assert_whole_register_run(_sparse_circuit(rng, shape), int(rng.integers(1, 3000)), seed)
 
-        class Recording(RandomSource):
-            def __init__(self, seed):
-                super().__init__(seed)
-                sources.append(self)
+    @pytest.mark.parametrize("text, kept, start, targets", [
+        # q2 reads 1, and so does q1, flipped by a cnot of two classical bits.
+        pytest.param("qubits 3\nx 2\nh 0\ncnot 2 1\nmeasure all\n", [0], 0, [(0,)],
+                     id="measured-classical-reads-1"),
+        # q1 is kept at 1; then q2, given q0's 1 by a swap, is kept at 1.
+        pytest.param("qubits 2\nx 1\nh 1\ncnot 1 0\nmeasure all\n", [0, 1], 0b10,
+                     [(1,), (1, 0)], id="flipped-before-dense"),
+        pytest.param("qubits 3\nx 0\nswap 0 2\nh 2\nmeasure 2 1\n", [2], 1, [(2,)],
+                     id="swapped-in-before-dense"),
+        # cphase with q2 = 1 is a phase on q0.
+        pytest.param("qubits 3\nx 2\nh 0\ncphase 2 0 0.7\nh 0\nmeasure all\n", [0], 0,
+                     [(0,), (0,), (0,)], id="restricted-diagonal"),
+        # A phase on a classical 1 is a global phase; cphase on a classical 0 is 1.
+        pytest.param("qubits 3\nx 1\nphase 1 1.1\nh 0\ncphase 2 0 0.4\nh 0\nmeasure all\n",
+                     [0], 0, [(0,), (0,)], id="dropped-global-phase"),
+    ])
+    def test_classical_qubits_equal_the_whole_register_run(self, text, kept, start, targets):
+        circuit = parse_circuit(text)
+        split = circuit_mod._split(circuit)
+        assert split[:2] == (kept, start)
+        assert [step.targets for step in split[2]] == targets
+        for seed in range(20):
+            _assert_whole_register_run(circuit, 1000, seed)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(circuit_mod, "RandomSource", Recording)
-            result = run_circuit(circuit, shots, seed)
-        reference_rng = RandomSource(seed)
-        expected = run_reference(circuit, shots, reference_rng)
-        assert list(result.counts.items()) == list(expected.counts.items())
-        assert result.num_bits == expected.num_bits
-        assert [s.draw_count for s in sources] == [reference_rng.draw_count] == [shots]
+
+def _assert_whole_register_run(circuit, shots, seed):
+    """``run_circuit`` gives the counts of ``run_reference``, in order, and
+    draws as many uniforms: one per shot."""
+    sources = []
+
+    class Recording(RandomSource):
+        def __init__(self, seed):
+            super().__init__(seed)
+            sources.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuit_mod, "RandomSource", Recording)
+        result = run_circuit(circuit, shots, seed)
+    reference_rng = RandomSource(seed)
+    expected = run_reference(circuit, shots, reference_rng)
+    assert list(result.counts.items()) == list(expected.counts.items())
+    assert result.num_bits == expected.num_bits
+    assert [s.draw_count for s in sources] == [reference_rng.draw_count] == [shots]
 
 
 def _random_circuit(rng):
@@ -379,8 +407,11 @@ def _sparse_circuit(rng, shape):
     """A circuit on 1-8 qubits whose steps target a random subset of them.
 
     ``shape`` is ``"empty"`` (no steps), ``"id-only"``, ``"idle-measured"``
-    (every measured qubit idle) or ``"mixed"``: each mnemonic that fits on
-    the live qubits, a dense and a monomial custom gate, and random repeats.
+    (every measured qubit idle), ``"mixed"``: each mnemonic that fits on
+    the live qubits, a dense and a monomial custom gate, and random repeats,
+    or ``"classical"``: permutation and diagonal mnemonics on the live
+    qubits while they are in a basis state, then a dense gate on some of
+    them, then more of those mnemonics.
     """
     n = int(rng.integers(2 if shape == "idle-measured" else 1, 9))
     live_count = int(rng.integers(1, n if shape == "idle-measured" else n + 1))
@@ -403,6 +434,18 @@ def _sparse_circuit(rng, shape):
         for i in rng.permutation(len(kinds)):
             targets = rng.choice(live, size=kinds[i].arity, replace=False)
             steps.append(GateApplication(kinds[i], targets))
+    elif shape == "classical":
+        angles = iter(rng.uniform(-math.pi, math.pi, 40))
+        kinds = [make(next(angles)) if make else gate
+                 for word, (gate, make) in circuit_mod._GATES.items() if word != "h"]
+        kinds = [gate for gate in kinds if gate.arity <= live_count]
+        arity = 1 if live_count < 3 else int(rng.integers(1, 3))  # some live qubits stay classical
+        dense = [custom_gate(arity, _random_unitary(arity, rng)), HADAMARD]
+        chosen = [kinds[int(rng.integers(len(kinds)))] for _ in range(int(rng.integers(0, 12)))]
+        chosen += [dense[int(rng.integers(2))]]
+        chosen += [kinds[int(rng.integers(len(kinds)))] for _ in range(int(rng.integers(0, 6)))]
+        for gate in chosen:
+            steps.append(GateApplication(gate, rng.choice(live, size=gate.arity, replace=False)))
     if shape == "idle-measured":
         pool = [q for q in range(n) if q not in live]
     elif rng.random() < 0.5:
@@ -440,8 +483,9 @@ class TestMemory:
     # counted: about 36 B a shot, 48 B allowed.
     RUN_BOUND = 1.5 + (1 << 16) * 48 / (16 << N)
 
-    # The seeded circuits touch 12-13 of the 18 qubits, so ``run`` evolves
-    # only those; the full-width case holds the whole register. Its h layer
+    # The seeded circuits touch 12-13 of the 18 qubits, and ``run`` evolves
+    # the 4-9 of them that can leave the computational basis; the
+    # full-width case holds the whole register. Its h layer
     # spreads 2^16 shots over about 51,000 outcomes, and a dict of that many
     # counts is itself about one state, which the bound leaves out; so it
     # takes 2^10 shots.
@@ -523,6 +567,32 @@ class TestMemory:
         assert traced.peak < 1 << 20
         counts = json.loads(capsys.readouterr().out)["counts"]
         assert set(counts) == {"0" * 26, "1" + "0" * 24 + "1"}
+
+    def test_classical_qubits_hold_no_memory(self, monkeypatch):
+        """Of 22 qubits driven by permutation and diagonal gates, only the
+        two that get an h are evolved."""
+        drive = [f"x {q}" for q in range(22)] + [
+            "cnot 0 1", "swap 1 2", "toffoli 3 4 2", "fredkin 2 6 7", "phase 8 0.3",
+            "cphase 9 10 0.4", "id 11", "x 5", "x 16",  # every qubit 1 but 5 and 16
+        ]
+        text = "\n".join(["qubits 22", *drive, "h 5", "h 16", "cphase 5 12 0.6", "measure all"])
+        widths = []
+        sample_counts = circuit_mod.sample_counts
+
+        def sampling(state, *args, **kwargs):
+            widths.append(state.num_qubits)
+            return sample_counts(state, *args, **kwargs)
+
+        monkeypatch.setattr(circuit_mod, "sample_counts", sampling)
+        circuit = parse_circuit(text)
+        with PeakMemory() as traced:
+            result = run_circuit(circuit, 1 << 12, 9)
+        assert widths == [2]
+        assert traced.peak < 1 << 20
+        ones = (1 << 22) - 1
+        outcomes = {ones ^ (a << 5) ^ (b << 16) for a in (0, 1) for b in (0, 1)}
+        assert set(result.counts) == outcomes
+        assert all(abs(c - 1024) < 5 * math.sqrt(1024 * 0.75) for c in result.counts.values())
 
     def test_outcomes_wider_than_int64_are_rejected(self):
         cap = get_max_qubits()

@@ -266,6 +266,26 @@ class TestAlgorithms:
         assert code == 0
         assert out.strip().splitlines()[-1] == "11111"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "BELL", "--seed", "1"], ["qrng", "--seed", "1"],
+        ["grover", "--qubits", "3", "--target", "5", "--seed", "1"],
+        ["qft-demo"], ["shor", "15", "--seed", "1"], ["walk", "--steps", "10"],
+        ["qam", "--patterns-file", "PATTERNS", "--query", "11110", "--radius", "1", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_json_report_builds_no_text(self, capsys, monkeypatch, bell_file, patterns_file,
+                                        argv):
+        def header(*args):
+            raise AssertionError("a text line was built for a JSON report")
+            yield
+
+        monkeypatch.setattr(cli, "_header", header)
+        argv = [{"BELL": bell_file, "PATTERNS": patterns_file}.get(a, a) for a in argv]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        json.loads(out)
+        with pytest.raises(AssertionError, match="text line"):
+            main(argv)
+
     def test_seed_randomized_but_printed(self, capsys):
         code, out, _ = run_cli(capsys, "qrng", "--bits", "4")
         assert code == 0

@@ -997,6 +997,31 @@ class TestDiagonalFusion:
         for step in fan + folded:
             assert "_calls" not in vars(step.gate) and "_point_calls" not in vars(step.gate)
 
+    @pytest.mark.parametrize("phi", PHI_SAMPLES)
+    def test_permutation_of_every_library_kind(self, phi):
+        """``Gate._permutation`` maps each column to the row of its 1 for the
+        permutation gates, and the identity for a phase gate of angle 0."""
+        expected = {
+            "id": (0, 1), "x": (1, 0), "cnot": (0, 1, 3, 2), "swap": (0, 2, 1, 3),
+            "toffoli": (0, 1, 2, 3, 4, 5, 7, 6), "fredkin": (0, 1, 2, 3, 4, 6, 5, 7),
+        }
+        if phi == 0.0:
+            expected.update(phase=(0, 1), cphase=(0, 1, 2, 3))
+        for gate in all_gate_kinds(phi):
+            assert gate._permutation == expected.get(gate.name), gate
+
+    @pytest.mark.parametrize("matrix, image", [
+        pytest.param(np.roll(np.eye(4), 1, axis=0), (1, 2, 3, 0), id="permutation"),
+        pytest.param([[0, 1j], [1, 0]], None, id="monomial-with-a-phase"),
+        pytest.param([[0, 1], [-1, 0]], None, id="monomial-with-a-sign"),
+        pytest.param(_random_unitary(2, np.random.default_rng(3)), None, id="dense"),
+    ])
+    def test_permutation_of_custom_gates(self, matrix, image):
+        gate = custom_gate(len(matrix).bit_length() - 1, matrix)
+        assert gate._permutation == image
+        if image is not None:
+            assert all(gate.matrix[r, c] == 1 for c, r in enumerate(image))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_changed_rows_agree_with_a_dense_diagonal_check(self, data):
