@@ -96,6 +96,20 @@ def _exponent_width(mod_n: int) -> int:
     return t
 
 
+def _function_cdf(histogram: np.ndarray, t: int) -> Callable[[float], np.intp]:
+    """Inverse CDF of the measured function value, whose ``histogram``
+    counts the 2**t exponents that give each value.
+
+    The lookup runs on integers: the partial sums of ``histogram``
+    against ``u * 2**t``.  Both are exact, and so is every partial sum of
+    ``histogram / 2**t`` and the division by its last one, 1.0, so this
+    picks the index that ``_inverse_cdf(histogram / 2**t)`` picks.
+    """
+    edges = histogram.cumsum()
+    scale = 1 << t
+    return lambda u: edges.searchsorted(u * scale, side="right")
+
+
 def _exponent_cdf(
     powers: np.ndarray, f: int, size: int, t: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -127,7 +141,7 @@ def shor_period(a: int, mod_n: int, rng: RandomSource) -> int:
     t = _exponent_width(mod_n)
     powers = _powers(a, mod_n, t)
     histogram = np.bincount(powers)
-    draw_f = _inverse_cdf(histogram / (1 << t))
+    draw_f = _function_cdf(histogram, t)
     # By the shift theorem a transformed comb's distribution depends on its
     # size alone, so each size's CDF is kept for the rest of the call.
     draw_y = {}

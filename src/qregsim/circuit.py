@@ -251,7 +251,7 @@ def _restricted(step: GateApplication, bits: list[int], entry: dict[int, int]):
     entries = step.gate.matrix.diagonal().reshape((2,) * len(step.targets))[index].reshape(-1)
     if (entries == 1).all():
         return None
-    return GateApplication(gates._unchecked(step.gate.name, len(kept), np.diag(entries)), kept)
+    return gates._bound(gates._unchecked(step.gate.name, len(kept), np.diag(entries)), kept)
 
 
 def _split(circuit: Circuit) -> tuple[list[int], int, list[GateApplication], list[int]]:
@@ -322,7 +322,9 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
     kept, start, steps, bits = _split(circuit)
     position = {q: i for i, q in enumerate(kept)}
     if len(kept) < circuit.num_qubits:
-        steps = [GateApplication(step.gate, [position[q] for q in step.targets]) for step in steps]
+        steps = [
+            gates._bound(step.gate, tuple(position[q] for q in step.targets)) for step in steps
+        ]
     state = _evolve_basis(len(kept) or 1, start, steps)  # no kept qubit: sample one |0>
     live = [j for j, q in enumerate(measured) if q in position]
     constant = sum(bits[q] << j for j, q in enumerate(measured) if q not in position)

@@ -26,9 +26,11 @@ entries.
 Diagonal gates commute, so the result is the same to rounding, but one
 multiply rounds differently in the last bits than the steps one by one.
 One driver runs every op sequence, from a single ``apply`` to a whole
-circuit or transform: it copies a caller's read-only amplitudes once and
-updates that one buffer in place for every op, with a scratch buffer of a
-few chunk rows for a gate and none for a fused run.
+circuit or a Fourier transform wider than one chunk (a narrower one runs
+its own butterfly stages, in ``algorithms.qft``): it copies a caller's
+read-only amplitudes once and updates that one buffer in place for every
+op, with a scratch buffer of a few chunk rows for a gate and none for a
+fused run.
 Every gate is unitary: ``Gate(...)`` and ``custom_gate`` check a matrix from
 outside where the gate is made, and the module constants and phase
 factories are unitary by construction.  So a gate sequence maps a unit-norm
@@ -390,6 +392,19 @@ class GateApplication:
 
     def __repr__(self) -> str:
         return f"GateApplication({self.gate!r}, targets={self.targets})"
+
+
+def _bound(gate: Gate, targets: tuple[int, ...]) -> GateApplication:
+    """``gate`` on ``targets``, built without the check, as ``_unchecked`` builds gates.
+
+    For steps the library derives from checked ones, such as ``run``'s
+    relabelled steps, whose targets are distinct ints of the right count
+    by construction.
+    """
+    step = object.__new__(GateApplication)
+    object.__setattr__(step, "gate", gate)
+    object.__setattr__(step, "targets", targets)
+    return step
 
 
 class _Layout(NamedTuple):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dft_matrix, random_state_vector
-from peak_memory import peak_over_state
+from peak_memory import PeakMemory, peak_over_state
 
 from qregsim import RandomSource, basis_state, from_amplitudes, gates, measure_qubits
 from qregsim.algorithms import inverse_qft, qft, qft_applications
 from qregsim.algorithms.qft import _ladder
+from qregsim.state import _donated
 
 
 class TestForward:
@@ -111,6 +112,65 @@ class TestSubRegister:
                 with pytest.raises(ValueError) as got:
                     transform(state, qubits=qubits)
                 assert str(got.value) == str(expected.value)
+
+
+class TestStages:
+    """A register within one kernel chunk runs butterfly stages, bit for bit
+    the fused program that the gate driver runs above it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_the_kernel_program(self, data):
+        n = data.draw(st.integers(1, gates._CHUNK_QUBITS + 1), label="num_qubits")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        register = data.draw(
+            st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            label="register",
+        )
+        state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(seed)))
+        order = tuple(range(n)) if register is None else tuple(sorted(register))
+        for transform, sign in ((qft, 1), (inverse_qft, -1)):
+            ops = gates._fuse(_ladder(order, sign), n)
+            expected = gates._evolve(state.amplitudes, n, ops).amplitudes
+            assert transform(state, register).amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("transform", [qft, inverse_qft])
+    @pytest.mark.parametrize("register", [None, [9, 2, 5, 0]])
+    def test_donated_buffer_is_transformed_in_place(self, transform, register):
+        """The stages take a donated buffer over, so they peak one state
+        below a read-only input, which they copy and leave as it was."""
+        n = 12
+        state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(67)))
+        before = state.amplitudes.tobytes()
+        transform(state, register)
+        with PeakMemory() as copied:
+            expected = transform(state, register)
+        assert state.amplitudes.tobytes() == before
+        assert not np.shares_memory(expected.amplitudes, state.amplitudes)
+        buffer = state.amplitudes.copy()
+        with PeakMemory() as donated:
+            got = transform(_donated(n, buffer), register)
+        assert got.amplitudes is buffer and not buffer.flags.writeable
+        assert buffer.tobytes() == expected.amplitudes.tobytes()
+        assert donated.peak <= copied.peak - 0.9 * (16 << n)
+
+    def test_kernel_program_runs_above_one_chunk(self, monkeypatch):
+        """Within one chunk only the fan of one controlled phase is a kernel
+        op; above it every Hadamard and swap is one too."""
+        update = gates._update
+        kinds = []
+
+        def counting(gate, targets, amps):
+            kinds.append(gate.name)
+            update(gate, targets, amps)
+
+        monkeypatch.setattr(gates, "_update", counting)
+        inverse_qft(basis_state(gates._CHUNK_QUBITS, 1))
+        assert kinds == ["cphase"]
+        kinds.clear()
+        n = gates._CHUNK_QUBITS + 1
+        inverse_qft(basis_state(n, 1))
+        assert sorted(kinds) == sorted(["h"] * n + ["cphase"] + ["swap"] * (n // 2))
 
 
 class TestLadderCache:

@@ -23,6 +23,7 @@ from qregsim import (
 from qregsim.algorithms import inverse_qft, shor_factor, shor_period
 from qregsim.algorithms import shor
 from qregsim.algorithms.shor import _convergent_denominators
+from qregsim.measurement import _inverse_cdf
 
 
 class TestContinuedFractions:
@@ -160,14 +161,14 @@ class TestExponentRegisterOnly:
         t = (mod_n * mod_n - 1).bit_length()
         drawn = {}
 
-        def inverse_cdf(distribution):
-            drawn["distribution"] = distribution
+        def function_cdf(histogram, width):
+            drawn["distribution"] = histogram / (1 << width)
             return lambda u: drawn["f"]
 
         def capture(state):
             raise _Captured(state.amplitudes)
 
-        monkeypatch.setattr(shor, "_inverse_cdf", inverse_cdf)
+        monkeypatch.setattr(shor, "_function_cdf", function_cdf)
         monkeypatch.setattr(shor, "inverse_qft", capture)
         for a in range(2, mod_n):
             if math.gcd(a, mod_n) != 1:
@@ -254,6 +255,27 @@ def _sizes_drawn(a, mod_n, seed, samples):
     rng = RandomSource(seed)
     uniforms = [rng.uniform() for _ in range(2 * samples)]
     return [int(histogram[np.searchsorted(cdf, u, side="right")]) for u in uniforms[::2]]
+
+
+class TestFunctionDraw:
+    """f is drawn on the integer CDF, picking the index that the float CDF
+    of the histogram over 2**t picks for every uniform."""
+
+    @pytest.mark.parametrize("a,mod_n", [(7, 15), (2, 21), (5, 33), (2, 143), (3, 1003)])
+    def test_integer_lookup_matches_the_float_cdf(self, a, mod_n):
+        t = shor._exponent_width(mod_n)
+        histogram = np.bincount(shor._powers(a, mod_n, t))
+        draw = shor._function_cdf(histogram, t)
+        reference = _inverse_cdf(histogram / (1 << t))
+        edges = np.cumsum(histogram) / (1 << t)
+        uniforms = np.concatenate([
+            [0.0], edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+            np.random.default_rng(mod_n).random(20_000),
+        ])
+        uniforms = uniforms[uniforms < 1.0]
+        np.testing.assert_array_equal(draw(uniforms), reference(uniforms))
+        for u in uniforms[: 3 * len(edges) + 1].tolist():  # one Python float per draw
+            assert int(draw(u)) == int(reference(u))
 
 
 #: Odd composites up to 95, prime powers included: any coprime base has an order.

@@ -40,6 +40,7 @@ from qregsim import (
     controlled_phase,
     custom_gate,
     from_amplitudes,
+    gates,
     get_max_qubits,
     is_product,
     marginal,
@@ -158,6 +159,26 @@ class TestValidationCounts:
         monkeypatch.setattr(shor, "inverse_qft", counting)
         assert validations(lambda: shor_period(a, mod_n, RandomSource(seed))) == 0
         assert transforms
+
+    def test_run_relabels_steps_without_checking_qubits(self, monkeypatch):
+        """Qubits 1 and 3 stay classical, so ``run`` relabels the kept steps
+        and restricts the ``cphase`` on a classical qubit: neither checks
+        targets that the parser already checked."""
+        circuit = parse_circuit(
+            "qubits 4\nx 3\nh 2\ncnot 2 0\ncphase 3 0 0.4\nphase 1 0.2\nmeasure all\n"
+        )
+        check = gates._check_qubits
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(gates, "_check_qubits", counting)
+        result = run_circuit(circuit, 200, 5)
+        assert calls == []
+        assert set(result.counts) == {0b1000, 0b1101}
+        assert sum(result.counts.values()) == 200
 
 
 @pytest.fixture
