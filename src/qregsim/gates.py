@@ -25,12 +25,13 @@ one in-place multiply of that sub-block by the product of the steps'
 entries.
 Diagonal gates commute, so the result is the same to rounding, but one
 multiply rounds differently in the last bits than the steps one by one.
+A Fourier transform of at most one chunk also runs each Hadamard as one
+butterfly over the whole state, with ``h``'s compiled arithmetic.
 One driver runs every op sequence, from a single ``apply`` to a whole
-circuit or a Fourier transform wider than one chunk (a narrower one runs
-its own butterfly stages, in ``algorithms.qft``): it copies a caller's
-read-only amplitudes once and updates that one buffer in place for every
-op, with a scratch buffer of a few chunk rows for a gate and none for a
-fused run.
+circuit or a Fourier transform: it copies a caller's read-only amplitudes
+once and updates that one buffer in place for every op, with a scratch
+buffer of a few chunk rows for a gate, none for a fused run and one state,
+shared by all of them, for the butterflies.
 Every gate is unitary: ``Gate(...)`` and ``custom_gate`` check a matrix from
 outside where the gate is made, and the module constants and phase
 factories are unitary by construction.  So a gate sequence maps a unit-norm
@@ -187,6 +188,41 @@ def _compile(matrix: np.ndarray, point: bool) -> _Calls:
             for func, operands in calls
         ),
     )
+
+
+class _Butterfly(NamedTuple):
+    """A Hadamard on qubit ``q`` of the whole state, as ``_compile`` computes it.
+
+    On the ``(2**(n-1-q), 2, 2**q)`` view ``shape``, with ``a`` and ``b``
+    the rows where the qubit is 0 and 1, ``_butterfly`` runs ``a·s → x``,
+    ``s·b → y``, ``x + y → a`` and ``x − y → b``, the compiled ``h``'s calls
+    with its operands, so each amplitude rounds as in ``_update``.
+    ``axes``, when set, is the qubit-reversal transpose of the ``[2]*n``
+    view that a Fourier ladder's trailing swaps make: the two sums are then
+    written through it, which leaves the swapped state.
+    """
+
+    shape: tuple[int, int, int]
+    axes: tuple[int, ...] | None = None
+
+
+def _butterfly(op: _Butterfly, amps: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+    """Run ``op`` on ``amps`` in place, with ``x`` in ``low`` and ``y`` in ``high``."""
+    rows, _, span = op.shape
+    view = amps.reshape(op.shape)
+    a, b = view[:, 0], view[:, 1]
+    x, y = low.reshape(rows, span), high.reshape(rows, span)
+    s = HADAMARD._calls.entries[0]
+    np.multiply(a, s, x)
+    np.multiply(s, b, y)
+    if op.axes is not None:
+        # Nothing reads the rows again, so the sums land permuted.
+        view = amps.reshape((2,) * len(op.axes)).transpose(op.axes)
+        above = (slice(None),) * (rows.bit_length() - 1)
+        a, b = view[(*above, 0)], view[(*above, 1)]
+        x, y = x.reshape(a.shape), y.reshape(b.shape)
+    np.add(x, y, a)
+    np.subtract(x, y, b)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -614,18 +650,25 @@ def _evolve(amplitudes: np.ndarray, num_qubits: int, ops) -> QuantumState:
     """Run kernel ops on unit-norm ``amplitudes`` in place; wrap the result unchecked.
 
     ``ops`` are non-identity gate applications and fused runs, as ``_fuse``
-    yields them.  A writable ``amplitudes`` is a buffer the caller hands
-    over.  A read-only one, such as a state's amplitudes, is copied once,
-    before the first op, so the caller's array is never written.  Every op
-    then updates that one buffer.  Every gate is a checked unitary, so the
-    result is unit-norm to rounding and is not validated.
+    yields them, and the ``_Butterfly`` ops of a Fourier transform.  A
+    writable ``amplitudes`` is a buffer the caller hands over.  A read-only
+    one, such as a state's amplitudes, is copied once, before the first op,
+    so the caller's array is never written; with no op it is wrapped as it
+    is.  Every op then updates that one buffer.  The butterflies share one
+    scratch state, allocated at the first of them.  Every gate is a checked
+    unitary, so the result is unit-norm to rounding and is not validated.
     """
     owned = amplitudes.flags.writeable
+    halves = None
     for op in ops:
         if not owned:
             amplitudes, owned = amplitudes.copy(), True
         if isinstance(op, _Scale):
             amplitudes.reshape(op.shape)[op.index] *= op.factors
+        elif isinstance(op, _Butterfly):
+            if halves is None:
+                halves = tuple(np.empty((2, amplitudes.size // 2), dtype=np.complex128))
+            _butterfly(op, amplitudes, *halves)
         else:
             _update(op.gate, op.targets, amplitudes)
     return _owned(num_qubits, amplitudes)

@@ -593,6 +593,16 @@ class TestSequenceKernel:
         gates._update(gate, tuple(range(arity + 3))[1:arity + 1], amps)
         assert [a.size for a in allocated] == [rows * 2**gates._CHUNK_QUBITS]
 
+    @pytest.mark.parametrize("register", [None, [9, 2, 5, 0]])
+    def test_fourier_butterflies_share_one_scratch_state(self, monkeypatch, register):
+        """Every butterfly of one transform within a chunk writes its products
+        into one scratch state, which the driver allocates once."""
+        n = 10
+        state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(49)))
+        allocated = _record_allocations(monkeypatch)
+        inverse_qft(state, register)
+        assert [a.size for a in allocated] == [2**n]
+
 
 class TestKernelAgainstReference:
     """The merged-layout kernel against the per-axis one in tests/oracles.py."""
@@ -977,7 +987,7 @@ class TestDiagonalFusion:
     @pytest.mark.parametrize("t", [16, 20])
     def test_no_fused_op_holds_more_than_the_bound(self, t):
         for sign in (1, -1):
-            _, program = _program.__wrapped__(tuple(range(t)), t, sign)
+            program = _program.__wrapped__(tuple(range(t)), t, sign)
             scales = [op for op in program if isinstance(op, gates._Scale)]
             assert len(scales) > t // 2
             assert max(op.factors.size for op in scales) == 1 << gates._FUSED_QUBITS
@@ -994,7 +1004,7 @@ class TestDiagonalFusion:
         _program.cache_clear()
         inverse_qft(from_amplitudes(10, random_state_vector(10, np.random.default_rng(160))))
         ladder = _ladder(tuple(range(10)), -1)
-        unfused = {id(op) for op in _program(tuple(range(10)), 10, -1)[1]}
+        unfused = {id(op) for op in _program(tuple(range(10)), 10, -1)}
         folded = [step for step in ladder if step.gate.phi and id(step) not in unfused]
         assert len(folded) > 30
         for step in fan + folded:

@@ -1,7 +1,10 @@
-"""Every import in ``src/qregsim`` is read by the module that makes it.
+"""Every import in ``src/qregsim`` is read by the module that makes it, and
+every private top-level name by some module of the package.
 
 The project has no linter, so these tests parse each module with ``ast``.
-A name counts as used when the module reads it or lists it in ``__all__``.
+An import counts as used when the module reads it or lists it in ``__all__``.
+A private function, class or assignment counts as used when any module
+reads it as a name or an attribute.
 The one exception is an import that only the benchmark's tracer reads: its
 line ends with ``# noqa: F401  (bound by perfbench/tracing.py)``, and
 ``BINDINGS`` in perfbench/tracing.py rebinds that name on that module.
@@ -78,6 +81,36 @@ def _scan():
     return unused, tracer_only
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions():
+    """``(unread, defined)``: the private top-level functions, classes and
+    assigned names that no module of the package reads, as ``path:line:
+    name``, and how many such names there are in all."""
+    reads, defined = set(), []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            defined += [(where, name) for name in names if _is_private(name)]
+    return [f"{where}: {name}" for where, name in defined if name not in reads], len(defined)
+
+
 def test_every_import_is_used():
     unused, _ = _scan()
     assert not unused
@@ -87,3 +120,8 @@ def test_tracer_only_imports_are_bound_by_the_tracer():
     _, tracer_only = _scan()
     assert tracer_only == TRACER_ONLY
     assert tracer_only <= _tracer_bindings()
+
+
+def test_every_private_definition_is_read():
+    unread, defined = _private_definitions()
+    assert defined > 50 and not unread

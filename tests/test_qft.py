@@ -41,6 +41,20 @@ class TestForward:
                 column = transform(basis_state(n, j)).amplitudes
                 np.testing.assert_allclose(column, matrix[:, j], atol=1e-10)
 
+    @pytest.mark.parametrize("n", [8, gates._CHUNK_QUBITS, gates._CHUNK_QUBITS + 1, 18])
+    def test_basis_states_within_n_eps_of_exact_phases(self, n):
+        """Amplitude j of the transform of |k> is exp(±2πi·(jk mod 2^n)/2^n)
+        / 2^(n/2), with jk mod 2^n exact in int64: a reference on either
+        side of the chunk split without the 2^n x 2^n matrix."""
+        size = 1 << n
+        j = np.arange(size, dtype=np.int64)
+        for k in (1, 3, size // 3, size - 1):
+            turns = (j * k) % size / size
+            for transform, sign in ((qft, 1), (inverse_qft, -1)):
+                want = np.exp(sign * 2j * np.pi * turns) * 2.0 ** (-n / 2)
+                got = transform(basis_state(n, k)).amplitudes
+                assert np.abs(got - want).max() <= n * 2.0**-53
+
 
 class TestInverse:
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -101,6 +115,18 @@ class TestSubRegister:
             state.amplitudes,
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize("transform", [qft, inverse_qft])
+    @pytest.mark.parametrize("n", [gates._CHUNK_QUBITS, gates._CHUNK_QUBITS + 1])
+    def test_empty_register_allocates_nothing(self, transform, n):
+        """The empty register's transform is the identity on either side of
+        the chunk split: no copy and no scratch."""
+        state = from_amplitudes(n, random_state_vector(n, np.random.default_rng(68)))
+        with PeakMemory() as traced:
+            out = transform(state, [])
+        assert out.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert not out.amplitudes.flags.writeable
+        assert traced.peak < 0.01 * (16 << n)
 
     def test_duplicate_qubits_rejected(self):
         """Duplicate and out-of-range qubits fail as ``measure_qubits`` reports them."""
