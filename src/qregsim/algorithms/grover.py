@@ -27,20 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..circuit import _MAX_OUTCOME_BITS
 from ..measurement import RandomSource
 from ..measurement import measure_all  # noqa: F401  (bound by perfbench/tracing.py)
-from ..state import QuantumState, _check_num_qubits, _is_int, _owned
+from ..state import QuantumState, _check_index_width, _check_num_qubits, _is_int, _owned
 from ..state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
-
-
-def _check_index_width(num_qubits: int) -> int:
-    """A width within the cap whose basis indices fit int64 (np.intp)."""
-    if _check_num_qubits(num_qubits) > _MAX_OUTCOME_BITS:
-        raise ValueError(
-            f"{num_qubits}-qubit basis indices do not fit int64; at most {_MAX_OUTCOME_BITS} qubits do"
-        )
-    return int(num_qubits)
 
 
 @dataclass(frozen=True)

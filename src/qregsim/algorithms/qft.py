@@ -93,15 +93,10 @@ def _program(order: tuple[int, ...], num_qubits: int, sign: int) -> tuple:
     return tuple(program)
 
 
-def _resolve_qubits(state: QuantumState, qubits: Sequence[int] | None) -> tuple[int, ...]:
-    if qubits is None:
-        return tuple(range(state.num_qubits))
-    return tuple(sorted(_check_qubits(qubits, state.num_qubits)))
-
-
 def _transform(state: QuantumState, qubits: Sequence[int] | None, sign: int) -> QuantumState:
-    program = _program(_resolve_qubits(state, qubits), state.num_qubits, sign)
-    return gates._evolve(state.amplitudes, state.num_qubits, program)
+    n = state.num_qubits
+    order = tuple(range(n)) if qubits is None else tuple(sorted(_check_qubits(qubits, n)))
+    return gates._evolve(state.amplitudes, n, _program(order, n, sign))
 
 
 def qft(state: QuantumState, qubits: Sequence[int] | None = None) -> QuantumState:

@@ -35,7 +35,9 @@ import numpy as np
 from . import gates
 from .gates import GateApplication
 from .measurement import RandomSource, _check_shots, sample_counts
-from .state import QuantumState, _check_num_qubits, _check_qubits, _is_int, get_max_qubits
+from .state import (
+    _MAX_OUTCOME_BITS, QuantumState, _check_num_qubits, _check_qubits, _is_int, get_max_qubits,
+)
 from .state import basis_state  # noqa: F401  (bound by perfbench/tracing.py)
 
 
@@ -236,10 +238,6 @@ def serialize(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Outcomes are packed into int64, so at most 63 qubits can be measured.
-_MAX_OUTCOME_BITS = 63
-
-
 def _restricted(step: GateApplication, bits: list[int], entry: dict[int, int]):
     """A diagonal step on its kept targets, with each classical target
     fixed at its bit, or None when that leaves no kept target (a global
@@ -306,9 +304,12 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
     the kept qubits, and a measured classical qubit reads its bit in every
     shot.  So the run holds a state of 2^k amplitudes for k kept qubits,
     not 2^n; ``Circuit.final_state`` still returns the whole register.
-    Counts and the draws taken are those of sampling the whole register,
-    one uniform per shot.  Identical (circuit, shots, seed) produce
-    identical counts.
+    Every run takes one path: the kept steps are relabelled onto qubits
+    ``0..k-1``, and each compact outcome is deposited into the packed
+    outcome, with the classical qubits' bits added.  When every qubit is
+    kept, both are identities.  Counts and the draws taken are those of
+    sampling the whole register, one uniform per shot.  Identical
+    (circuit, shots, seed) produce identical counts.
     """
     shots = _check_shots(shots)
     rng = RandomSource(seed)
@@ -321,21 +322,17 @@ def run(circuit: Circuit, shots: int, seed: int) -> RunResult:
         )
     kept, start, steps, bits = _split(circuit)
     position = {q: i for i, q in enumerate(kept)}
-    if len(kept) < circuit.num_qubits:
-        steps = [
-            gates._bound(step.gate, tuple(position[q] for q in step.targets)) for step in steps
-        ]
+    steps = [gates._bound(step.gate, tuple(position[q] for q in step.targets)) for step in steps]
     state = _evolve_basis(len(kept) or 1, start, steps)  # no kept qubit: sample one |0>
     live = [j for j, q in enumerate(measured) if q in position]
     constant = sum(bits[q] << j for j, q in enumerate(measured) if q not in position)
     counts = sample_counts(state, shots, rng, qubits=[position[measured[j]] for j in live])
-    if constant or live != list(range(len(live))):
-        # Bit i of a compact outcome is bit live[i] of the packed one, and
-        # each classical qubit adds its bit. The deposit keeps the order and
-        # the bits are fixed, so the counts stay in ascending order.
-        outcomes = np.fromiter(counts, dtype=np.int64, count=len(counts))
-        packed = np.full_like(outcomes, constant)
-        for i, j in enumerate(live):
-            packed |= ((outcomes >> i) & 1) << j
-        counts = dict(zip(packed.tolist(), counts.values()))
+    # Bit i of a compact outcome is bit live[i] of the packed one, and each
+    # classical qubit adds its bit. The deposit keeps the order and the bits
+    # are fixed, so the counts stay in ascending order.
+    outcomes = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    packed = np.full_like(outcomes, constant)
+    for i, j in enumerate(live):
+        packed |= ((outcomes >> i) & 1) << j
+    counts = dict(zip(packed.tolist(), counts.values()))
     return RunResult(shots=shots, seed=rng.seed, counts=counts, num_bits=len(measured))

@@ -9,7 +9,8 @@ operator: on the ``[2]*n`` tensor view (qubit ``q`` on axis ``n-1-q``), each
 output slice of the target axes sums input slices weighted by a matrix row.
 The kernel keeps that axis order but merges each run of adjacent non-target
 axes into one dimension, with the view's shape, transpose and chunk walk
-computed once per target tuple and register width.  The chunk walk covers
+computed once per target tuple and register width; one helper, ``_runs``,
+merges the axes of this view and of a fused run's.  The chunk walk covers
 the axes above the cache-sized inner block and, on a wide register, the
 run of at most four amplitudes below the lowest target, so that every pass
 loops along a long dimension.  Before a gate writes any row of a chunk, each
@@ -368,16 +369,11 @@ TOFFOLI = _unchecked("toffoli", 3, _permutation_matrix(3, {0b110: 0b111, 0b111: 
 FREDKIN = _unchecked("fredkin", 3, _permutation_matrix(3, {0b101: 0b110, 0b110: 0b101}))
 
 
-def _finite_angle(phi: float) -> float:
+def _phase_gate(name: str, arity: int, phi: float) -> Gate:
+    """The identity on ``arity`` qubits with e^{i*phi} as its last entry."""
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phase angle must be finite, got {phi!r}")
-    return phi
-
-
-def _phase_gate(name: str, arity: int, phi: float) -> Gate:
-    """The identity on ``arity`` qubits with e^{i*phi} as its last entry."""
-    phi = _finite_angle(phi)
     matrix = np.eye(1 << arity, dtype=np.complex128)
     matrix[-1, -1] = cmath.exp(1j * phi)
     return _unchecked(name, arity, matrix, phi)
@@ -443,17 +439,29 @@ def _bound(gate: Gate, targets: tuple[int, ...]) -> GateApplication:
     return step
 
 
+def _runs(kinds) -> list[tuple[object, int]]:
+    """Each run of equal adjacent ``kinds``, one kind per ``[2]*n`` axis, as
+    ``(kind, size)``: the run's axes merged into one dimension of ``size``.
+
+    An axis that must stay a dimension of its own gets a kind no other axis
+    has, such as its own number beside string kinds for the rest.  Kinds are
+    compared with ``==``, so they must not be bools beside ints: ``True == 1``.
+    """
+    return [(kind, 1 << len(list(axes))) for kind, axes in itertools.groupby(kinds)]
+
+
 class _Layout(NamedTuple):
     """How ``_update`` views a register for one target tuple.
 
     ``shape`` is the ``[2]*n`` register view (qubit ``q`` on axis ``n-1-q``)
     with each run of adjacent non-target axes on the same side of the chunk
-    boundary merged into one dimension; a target axis stays one dimension of
-    size 2.  ``order`` transposes it to the outer (chunk) dimensions, the
-    target axes in gate order, then the inner dimensions.  ``outer`` holds
-    one range per outer dimension, whose product indexes every chunk, and
-    ``scratch_shape`` is the shape of one row slice of one chunk.  A layout
-    holds a few short tuples, whatever the chunk count.
+    boundary merged into one dimension by ``_runs``; a target axis is a kind
+    of its own, so it stays one dimension of size 2.  ``order`` transposes
+    it to the outer (chunk) dimensions, the target axes in gate order, then
+    the inner dimensions.  ``outer`` holds one range per outer dimension,
+    whose product indexes every chunk, and ``scratch_shape`` is the shape of
+    one row slice of one chunk.  A layout holds a few short tuples, whatever
+    the chunk count.
     """
 
     shape: tuple[int, ...]
@@ -484,26 +492,13 @@ def _layout(
     low = min(targets)  # the run below the lowest target is the last `low` axes
     short = low if low <= run_qubits and len(rest) - low >= slice_qubits else 0
     outer = set(rest[: max(0, len(rest) - chunk_qubits)] + rest[len(rest) - short :])
-    shape: list[int] = []
-    target_dims: dict[int, int] = {}
-    outer_dims: list[int] = []
-    inner_dims: list[int] = []
-    run = None  # whether the current run of non-target axes is outer
-    for axis in range(num_qubits):
-        if axis in axes:
-            target_dims[axis] = len(shape)
-            shape.append(2)
-            run = None
-        elif run == (axis in outer):
-            shape[-1] *= 2
-        else:
-            run = axis in outer
-            (outer_dims if run else inner_dims).append(len(shape))
-            shape.append(2)
-    order = outer_dims + [target_dims[a] for a in axes] + inner_dims
+    runs = _runs(a if a in axes else "outer" if a in outer else "inner" for a in range(num_qubits))
+    kinds, shape = zip(*runs)
+    outer_dims = [d for d, kind in enumerate(kinds) if kind == "outer"]
+    inner_dims = [d for d, kind in enumerate(kinds) if kind == "inner"]
+    order = (*outer_dims, *map(kinds.index, axes), *inner_dims)
     ranges = tuple(range(shape[d]) for d in outer_dims)
-    scratch_shape = tuple(shape[d] for d in inner_dims)
-    return _Layout(tuple(shape), tuple(order), ranges, scratch_shape)
+    return _Layout(shape, order, ranges, tuple(shape[d] for d in inner_dims))
 
 
 def _update(gate: Gate, targets, amps: np.ndarray) -> None:
@@ -550,12 +545,13 @@ class _Scale(NamedTuple):
     """A fused run of diagonal steps: ``amps.reshape(shape)[index] *= factors``.
 
     ``shape`` is the ``[2]*n`` register view with each run of adjacent
-    axes of one kind merged into one dimension: the run's shared qubits,
-    its free qubits, or the qubits it does not touch.  ``index`` picks the
-    all-ones row of every shared dimension, so the multiply touches only
-    the sub-block where every shared qubit is 1.  ``factors`` holds the
-    product of the steps' entries over each free dimension and is 1 along
-    the untouched ones, so it broadcasts over the sub-block.
+    axes of one kind merged into one dimension by ``_runs``: the run's
+    shared qubits, its free qubits, or the qubits it does not touch.
+    ``index`` picks the all-ones row of every shared dimension, so the
+    multiply touches only the sub-block where every shared qubit is 1.
+    ``factors`` holds the product of the steps' entries over each free
+    dimension and is 1 along the untouched ones, so it broadcasts over the
+    sub-block.
     """
 
     shape: tuple[int, ...]
@@ -580,22 +576,15 @@ def _scale(run, shared: frozenset, num_qubits: int) -> _Scale:
         own = [q for q in targets if q not in shared]
         entries = entries.transpose(sorted(range(len(own)), key=own.__getitem__, reverse=True))
         factors = factors * entries.reshape([1] + [2 if q in own else 1 for q in free])
-    shape, index, factor_shape = [], [], []
-    kind = None
-    for q in range(num_qubits - 1, -1, -1):
-        if kind == (q in shared, q in free):
-            shape[-1] *= 2
-            if q in free:
-                factor_shape[-1] *= 2
-            continue
-        kind = (q in shared, q in free)
-        shape.append(2)
-        index.append(-1 if q in shared else slice(None))
-        if q not in shared:
-            factor_shape.append(2 if q in free else 1)
-    factors = factors.reshape(factor_shape)
+    runs = _runs(
+        "shared" if q in shared else "free" if q in free else "untouched"
+        for q in range(num_qubits - 1, -1, -1)
+    )
+    kinds, shape = zip(*runs)
+    index = tuple(-1 if kind == "shared" else slice(None) for kind in kinds)
+    factors = factors.reshape([s if kind == "free" else 1 for kind, s in runs if kind != "shared"])
     factors.flags.writeable = False  # cached programs share it
-    return _Scale(tuple(shape), tuple(index), factors)
+    return _Scale(shape, index, factors)
 
 
 def _fuse(steps, num_qubits: int):

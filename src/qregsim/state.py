@@ -78,6 +78,20 @@ def _check_num_qubits(num_qubits: int) -> int:
     return int(num_qubits)
 
 
+#: Outcomes and basis indices are packed into int64, so at most 63 qubits
+#: can be measured or enumerated.
+_MAX_OUTCOME_BITS = 63
+
+
+def _check_index_width(num_qubits: int) -> int:
+    """A width within the cap whose basis indices fit int64 (np.intp)."""
+    if _check_num_qubits(num_qubits) > _MAX_OUTCOME_BITS:
+        raise ValueError(
+            f"{num_qubits}-qubit basis indices do not fit int64; at most {_MAX_OUTCOME_BITS} qubits do"
+        )
+    return int(num_qubits)
+
+
 def _check_index(index: int, num_qubits: int) -> None:
     if not _is_int(index) or not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index!r} out of range for {num_qubits} qubits")

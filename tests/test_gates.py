@@ -895,6 +895,25 @@ class TestLayout:
                         assert len(layout.shape) <= 2 * k + (2 if outer else 1)
                         assert sorted(layout.order) == list(range(len(layout.shape)))
 
+    @pytest.mark.parametrize("chunk_qubits", [1, 2, gates._CHUNK_QUBITS])
+    def test_merged_view_keeps_each_target_bit(self, chunk_qubits):
+        """Through the transposed view of ``np.arange(2**n)``, every basis
+        index at position ``t`` along target dimension ``j`` has bit
+        ``targets[j]`` equal to ``t``, whichever axes are merged or outer."""
+        rules = [(gates._SHORT_RUN_QUBITS, gates._LONG_SLICE_QUBITS), (gates._SHORT_RUN_QUBITS, 1), (0, 1)]
+        for n in range(1, 8):
+            indices = np.arange(1 << n)
+            for k in range(1, min(n, 3) + 1):
+                for targets in itertools.permutations(range(n), k):
+                    for run_qubits, slice_qubits in rules:
+                        layout = gates._layout(targets, n, chunk_qubits, run_qubits, slice_qubits)
+                        view = indices.reshape(layout.shape).transpose(layout.order)
+                        outer = tuple(len(r) for r in layout.outer)
+                        assert view.shape == (*outer, *(2,) * k, *layout.scratch_shape)
+                        for j, q in enumerate(targets):
+                            bits = np.moveaxis(view, len(outer) + j, 0) >> q & 1
+                            assert not bits[0].any() and bits[1].all(), (targets, n, j)
+
 
 class TestDiagonalFusion:
     """Runs of adjacent diagonal steps that share a set qubit become one multiply."""
@@ -944,6 +963,37 @@ class TestDiagonalFusion:
             diagonal_run_reference(steps, want)
             got = gates._evolve(amps.copy(), n, ops).amplitudes
             assert got.tobytes() == want.tobytes(), steps
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fused_view_picks_the_shared_block_and_its_factors(self, n):
+        """Through a fused run's view, ``np.arange(2**n)`` holds exactly the
+        basis indices whose shared qubits are all 1, and the broadcast factor
+        at each is the product of the steps' diagonal entries at its bits."""
+        rng = np.random.default_rng(400 + n)
+        indices = np.arange(1 << n)
+        for _ in range(20):
+            shared = rng.choice(n, rng.integers(1, min(n - 1, 2) + 1), replace=False).tolist()
+            others = [q for q in range(n) if q not in shared]
+            steps = []
+            for _ in range(rng.integers(2, 6)):
+                extra = rng.choice(others, rng.integers(0, min(len(others), 2) + 1), replace=False)
+                targets = tuple(rng.permutation(shared + extra.tolist()).tolist())
+                rows = np.arange(1 << len(targets))
+                bits = [rows >> (len(targets) - 1 - targets.index(q)) & 1 for q in shared]
+                entries = np.where(np.all(bits, axis=0), np.exp(1j * rng.uniform(-3, 3, rows.size)), 1)
+                steps.append(GateApplication(custom_gate(len(targets), np.diag(entries)), targets))
+            (op,) = gates._fuse(steps, n)
+            block = indices.reshape(op.shape)[op.index]
+            mask = sum(1 << q for q in shared)
+            assert sorted(block.ravel().tolist()) == [i for i in range(1 << n) if i & mask == mask]
+            factors = np.broadcast_to(op.factors, block.shape)
+            for i, factor in zip(block.ravel().tolist(), factors.ravel().tolist()):
+                want = 1
+                for step in steps:
+                    last = len(step.targets) - 1
+                    row = sum((i >> q & 1) << (last - j) for j, q in enumerate(step.targets))
+                    want *= step.gate.matrix[row, row]
+                assert abs(factor - want) <= 1e-15, (shared, i)
 
     @pytest.mark.parametrize("n, steps", [
         (4, [(phase_shift(0.3), (0,)), (phase_shift(0.4), (1,))]),

@@ -1,5 +1,6 @@
 """Every import in ``src/qregsim`` is read by the module that makes it, and
-every private top-level name by some module of the package.
+every private top-level name by some module of the package.  No algorithm
+module imports the circuit format or the CLI, which sit above it.
 
 The project has no linter, so these tests parse each module with ``ast``.
 An import counts as used when the module reads it or lists it in ``__all__``.
@@ -81,6 +82,21 @@ def _scan():
     return unused, tracer_only
 
 
+def _imported_modules(path, tree):
+    """The modules that ``path``'s imports name, relative ones resolved.  A
+    ``from`` import also names each imported name as a submodule, since
+    ``from .. import circuit`` imports the module ``circuit``."""
+    package = path.relative_to(PACKAGE.parent).with_suffix("").parts[:-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else ()
+            module = ".".join((*base, *([node.module] if node.module else [])))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
 def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
@@ -125,3 +141,14 @@ def test_tracer_only_imports_are_bound_by_the_tracer():
 def test_every_private_definition_is_read():
     unread, defined = _private_definitions()
     assert defined > 50 and not unread
+
+
+def test_algorithms_import_neither_the_circuit_format_nor_the_cli():
+    above = ("qregsim.circuit", "qregsim.cli")
+    found = [
+        f"{path.relative_to(ROOT)}: {module}"
+        for path in sorted((PACKAGE / "algorithms").rglob("*.py"))
+        for module in _imported_modules(path, ast.parse(path.read_text()))
+        if any(module == name or module.startswith(name + ".") for name in above)
+    ]
+    assert not found
